@@ -8,7 +8,6 @@ harness measures how well the recovery works as the geometry varies.
 """
 
 from .analysis import (
-    ReportParams,
     SimilarityReport,
     overlap_matrix,
     sample_correlation,
@@ -35,7 +34,6 @@ from .sequences import (
     ALPHABET,
     ProbeSet,
     ReferenceFamily,
-    SampleSet,
     complement,
     kmer_set,
     match_matrix,
@@ -71,8 +69,6 @@ __all__ = [
     "Population",
     "ProbeSet",
     "ReferenceFamily",
-    "ReportParams",
-    "SampleSet",
     "SimilarityReport",
     "SweepConfig",
     "SweepResult",

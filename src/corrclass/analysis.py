@@ -12,26 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .opinions import CorrelationMatrix, row_correlation
-from .sequences import _uniform_length, match_matrix, overlap, sequences_of
+from .sequences import _kmer_sets, match_matrix
 
 __all__ = [
-    "ReportParams",
     "SimilarityReport",
     "sample_correlation",
     "overlap_matrix",
     "similarity_report",
 ]
-
-
-@dataclass(frozen=True)
-class ReportParams:
-    """Shape metadata attached to a similarity report."""
-
-    n_samples: int
-    n_probes: int
-    sample_length: int
-    probe_length: int
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -47,7 +35,6 @@ class SimilarityReport:
     correlation: np.ndarray
     overlap: np.ndarray
     error: np.ndarray
-    params: ReportParams
     degenerate_rows: tuple[int, ...]
 
 
@@ -71,44 +58,31 @@ def sample_correlation(match) -> CorrelationMatrix:
 def overlap_matrix(samples, k: int) -> np.ndarray:
     """Pairwise k-mer overlap of the samples.
 
-    Diagonal entries are self-overlaps, which fall below 1 when a sequence
-    repeats one of its length-k windows.
+    Entry (i, j) equals ``overlap(samples[i], samples[j], k)``; each
+    sample's k-mer set is built once.  Diagonal entries are self-overlaps,
+    which fall below 1 when a sequence repeats one of its length-k windows.
     """
-    seqs = sequences_of(samples)
-    _uniform_length(seqs, "sample")
-    n = len(seqs)
-    out = np.empty((n, n))
-    for i in range(n):
-        out[i, i] = overlap(seqs[i], seqs[i], k)
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = overlap(seqs[i], seqs[j], k)
+    kmers, windows = _kmer_sets(samples, k)
+    out = np.empty((len(kmers), len(kmers)))
+    for i, own in enumerate(kmers):
+        for j in range(i, len(kmers)):
+            out[i, j] = out[j, i] = len(own & kmers[j]) / windows
     return out
 
 
-def similarity_report(samples, probes, seed: int | None = None) -> SimilarityReport:
+def similarity_report(samples, probes) -> SimilarityReport:
     """Full report: match-row correlation vs k-mer overlap at probe length.
 
-    ``seed`` is carried as metadata only; the inputs fully determine the
-    output.
+    ``samples`` and ``probes`` are indexable collections of sequences, such
+    as a ``ReferenceFamily`` and a ``ProbeSet``; ``match_matrix`` validates
+    them.
     """
-    sample_seqs = sequences_of(samples)
-    probe_seqs = sequences_of(probes)
-    sample_length = _uniform_length(sample_seqs, "sample")
-    probe_length = _uniform_length(probe_seqs, "probe")
-    scores = match_matrix(sample_seqs, probe_seqs).astype(float)
-    correlation = sample_correlation(scores)
+    correlation = sample_correlation(match_matrix(samples, probes).astype(float))
     corr = np.asarray(correlation)
-    omega = overlap_matrix(sample_seqs, probe_length)
+    omega = overlap_matrix(samples, len(probes[0]))
     return SimilarityReport(
         correlation=corr,
         overlap=omega,
         error=np.abs(corr - omega),
-        params=ReportParams(
-            n_samples=len(sample_seqs),
-            n_probes=len(probe_seqs),
-            sample_length=sample_length,
-            probe_length=probe_length,
-            seed=seed,
-        ),
         degenerate_rows=correlation.degenerate_rows,
     )

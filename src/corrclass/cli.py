@@ -29,6 +29,7 @@ from .opinions import (
 from .rng import stream
 from .sequences import reference_family
 from .sweep import (
+    _FIXED_FIELD,
     DEFAULT_TRACKED_PAIRS,
     SWEEP_VARIABLES,
     SweepConfig,
@@ -41,8 +42,8 @@ from .sweep import (
 
 __all__ = ["main", "run", "read_config", "apply_overrides"]
 
-_CONFIG_KEYS = ("realizations", "grid", "m", "l", "w", "n", "pairs")
-_FIELD_OF_VARIABLE = {"W": "sample_length", "M": "n_probes", "L": "probe_length"}
+_CONFIG_KEYS = ("realizations", "grid", "m", "l", "w", "pairs")
+_JOBS_HELP = "worker processes, at most the CPU count (default 1)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,14 +137,10 @@ def apply_overrides(config: SweepConfig, entries: dict[str, str]) -> SweepConfig
     """Rebuild a SweepConfig with config-file overrides applied.
 
     Setting the swept variable's own fixed value is a contradiction and is
-    rejected; ``n`` is accepted for caption compatibility but has no effect
-    (the family always holds 8 sequences).
+    rejected.
     """
     updates = {}
     for key, value in entries.items():
-        if key == "n":
-            int(value)
-            continue
         if key == "grid":
             updates["grid"] = _parse_grid(value)
         elif key == "pairs":
@@ -156,7 +153,7 @@ def apply_overrides(config: SweepConfig, entries: dict[str, str]) -> SweepConfig
                 raise ValueError(
                     f"config key {key!r} conflicts with the swept variable {config.swept}"
                 )
-            updates[_FIELD_OF_VARIABLE[variable]] = int(value)
+            updates[_FIXED_FIELD[variable]] = int(value)
     return dataclasses.replace(config, **updates)
 
 
@@ -263,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("which", type=int, choices=(1, 2, 3))
     figure.add_argument("--out", help="CSV path (default figureN.csv); .dat written alongside")
     figure.add_argument("--config", help="key = value override file")
-    figure.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    figure.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     figure.set_defaults(handler=_cmd_figure)
 
     sweep = commands.add_parser("sweep", parents=[common], help="run an explicit sweep")
@@ -274,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--pairs", help="tracked pairs, e.g. 0-1,0-4,6-7")
     sweep.add_argument("--out", help="CSV path (default sweep.csv); .dat written alongside")
     sweep.add_argument("--config", help="key = value override file")
-    sweep.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    sweep.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     sweep.set_defaults(handler=_cmd_sweep)
 
     matrices = commands.add_parser(

@@ -197,26 +197,9 @@ def predict_matrix(correlations, opinions, k: float) -> np.ndarray:
     return (k / s.shape[0]) * (c @ s)
 
 
-def choose_k(config: ModelConfig, policy: str = "dimension", *, opinions=None, correlations=None) -> float:
-    """Pick the prediction gain ``k``.
-
-    ``"dimension"`` (default) returns the hidden dimensionality.
-    ``"range-calibrated"`` rescales that default so the largest predicted
-    magnitude matches the largest observed one; it needs ``opinions`` and
-    ``correlations``.
-    """
-    if policy == "dimension":
-        return float(config.n_components)
-    if policy == "range-calibrated":
-        if opinions is None or correlations is None:
-            raise ValueError("range-calibrated policy needs opinions and correlations")
-        base = float(config.n_components)
-        raw = predict_matrix(correlations, opinions, base)
-        peak = float(np.max(np.abs(raw)))
-        if peak == 0.0:
-            return base
-        return base * float(np.max(np.abs(np.asarray(opinions)))) / peak
-    raise ValueError(f"unknown k policy: {policy!r}")
+def choose_k(config: ModelConfig) -> float:
+    """The prediction gain ``k``: the hidden dimensionality."""
+    return float(config.n_components)
 
 
 def empirical_error(observed, predicted) -> float:

@@ -16,10 +16,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 __all__ = [
     "ALPHABET",
     "ProbeSet",
-    "SampleSet",
     "ReferenceFamily",
     "validate_sequence",
-    "sequences_of",
     "complement",
     "random_sequence",
     "random_probes",
@@ -43,32 +41,38 @@ for _index, _byte in enumerate(b"ACGT"):
 _CHUNK_ELEMENTS = 1 << 26
 
 
+def _batch(seqs) -> tuple[tuple[str, ...], np.ndarray]:
+    """Validate a nonempty collection of equal-length ACGT strings.
+
+    Returns the strings as a tuple and their ``(n, length)`` uint8 codes,
+    A=0, C=1, G=2, T=3.  A single ``str`` is rejected, not split into bases.
+    """
+    if isinstance(seqs, str):
+        raise TypeError("expected a collection of sequences, got a single string")
+    seqs = tuple(seqs)
+    if not seqs:
+        raise ValueError("need at least one sequence")
+    try:
+        joined = "".join(seqs)
+    except TypeError:
+        bad = next(seq for seq in seqs if not isinstance(seq, str))
+        raise TypeError(f"sequence must be str, got {type(bad).__name__}") from None
+    lengths = set(map(len, seqs))
+    if len(lengths) != 1:
+        raise ValueError(f"sequences must share one length, got {sorted(lengths)}")
+    if 0 in lengths:
+        raise ValueError("sequence must be nonempty")
+    # a non-ASCII symbol encodes as "?", which has no code
+    codes = _CODE_OF_BYTE[np.frombuffer(joined.encode("ascii", "replace"), dtype=np.uint8)]
+    if (codes == 255).any():
+        bad = sorted(set(joined) - set(ALPHABET))
+        raise ValueError(f"sequence contains symbols outside ACGT: {bad}")
+    return seqs, codes.reshape(len(seqs), -1)
+
+
 def validate_sequence(seq: str) -> None:
     """Reject non-strings, empty strings, and symbols outside {A, C, G, T}."""
-    if not isinstance(seq, str):
-        raise TypeError(f"sequence must be str, got {type(seq).__name__}")
-    if not seq:
-        raise ValueError("sequence must be nonempty")
-    foreign = set(seq) - set(ALPHABET)
-    if foreign:
-        raise ValueError(f"sequence contains symbols outside ACGT: {sorted(foreign)}")
-
-
-def _encode(seq: str) -> np.ndarray:
-    """Map a sequence to uint8 codes A=0, C=1, G=2, T=3 (validates)."""
-    if not isinstance(seq, str):
-        raise TypeError(f"sequence must be str, got {type(seq).__name__}")
-    if not seq:
-        raise ValueError("sequence must be nonempty")
-    try:
-        raw = np.frombuffer(seq.encode("ascii"), dtype=np.uint8)
-    except UnicodeEncodeError as exc:
-        raise ValueError(f"sequence contains non-ASCII symbols: {seq!r:.40}") from exc
-    codes = _CODE_OF_BYTE[raw]
-    if (codes == 255).any():
-        bad = sorted(set(seq) - set(ALPHABET))
-        raise ValueError(f"sequence contains symbols outside ACGT: {bad}")
-    return codes
+    _batch((seq,))
 
 
 def _decode(codes: np.ndarray) -> str:
@@ -88,17 +92,6 @@ def random_sequence(length: int, rng: np.random.Generator) -> str:
     return _decode(rng.integers(0, 4, size=length))
 
 
-def _uniform_length(seqs: tuple[str, ...], what: str) -> int:
-    if not seqs:
-        raise ValueError(f"{what} set must contain at least one sequence")
-    for seq in seqs:
-        validate_sequence(seq)
-    lengths = {len(seq) for seq in seqs}
-    if len(lengths) != 1:
-        raise ValueError(f"{what} sequences must share one length, got {sorted(lengths)}")
-    return lengths.pop()
-
-
 @dataclass(frozen=True)
 class ProbeSet:
     """Measurement sequences, all of one length."""
@@ -106,8 +99,7 @@ class ProbeSet:
     probes: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probes", tuple(self.probes))
-        _uniform_length(self.probes, "probe")
+        object.__setattr__(self, "probes", _batch(self.probes)[0])
 
     @property
     def length(self) -> int:
@@ -119,37 +111,8 @@ class ProbeSet:
     def __iter__(self):
         return iter(self.probes)
 
-
-@dataclass(frozen=True)
-class SampleSet:
-    """Sequences to classify, all of one length."""
-
-    samples: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(self.samples))
-        _uniform_length(self.samples, "sample")
-
-    @property
-    def length(self) -> int:
-        return len(self.samples[0])
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def __iter__(self):
-        return iter(self.samples)
-
-
-def sequences_of(obj) -> tuple[str, ...]:
-    """Normalize a ProbeSet / SampleSet / ReferenceFamily / iterable to strings."""
-    for attr in ("probes", "samples", "seqs"):
-        inner = getattr(obj, attr, None)
-        if inner is not None:
-            return tuple(inner)
-    if isinstance(obj, str):
-        raise TypeError("expected a collection of sequences, got a single string")
-    return tuple(obj)
+    def __getitem__(self, index):
+        return self.probes[index]
 
 
 def random_probes(count: int, length: int, rng: np.random.Generator) -> ProbeSet:
@@ -177,10 +140,11 @@ class ReferenceFamily:
     gene_length: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seqs", tuple(self.seqs))
-        if len(self.seqs) != 8:
-            raise ValueError(f"a reference family has exactly 8 sequences, got {len(self.seqs)}")
-        length = _uniform_length(self.seqs, "reference")
+        seqs, codes = _batch(self.seqs)
+        object.__setattr__(self, "seqs", seqs)
+        if len(seqs) != 8:
+            raise ValueError(f"a reference family has exactly 8 sequences, got {len(seqs)}")
+        length = codes.shape[1]
         if self.gene_length != length // 3:
             raise ValueError(
                 f"gene_length must be sample_length // 3 = {length // 3}, got {self.gene_length}"
@@ -195,6 +159,9 @@ class ReferenceFamily:
 
     def __iter__(self):
         return iter(self.seqs)
+
+    def __getitem__(self, index):
+        return self.seqs[index]
 
 
 def _mutate_center(seq: str, rng: np.random.Generator) -> str:
@@ -271,15 +238,7 @@ def max_complementary_match(sample: str, probe: str) -> int:
     positions where the sample base is the Watson-Crick complement of the
     probe base; returns the maximum count, between 0 and the probe length.
     """
-    sample_codes = _encode(sample)
-    probe_codes = _encode(probe)
-    if probe_codes.size > sample_codes.size:
-        raise ValueError(
-            f"probe length {probe_codes.size} exceeds sample length {sample_codes.size}"
-        )
-    # complement in code space: A=0 <-> T=3, C=1 <-> G=2
-    target = (3 - probe_codes)[np.newaxis, :]
-    return int(_best_matches(sample_codes, target)[0])
+    return int(match_matrix((sample,), (probe,))[0, 0])
 
 
 def match_matrix(samples, probes) -> np.ndarray:
@@ -289,38 +248,32 @@ def match_matrix(samples, probes) -> np.ndarray:
     the scan over probes and offsets is vectorized but agrees exactly with
     the per-pair definition.
     """
-    sample_seqs = sequences_of(samples)
-    probe_seqs = sequences_of(probes)
-    sample_length = _uniform_length(sample_seqs, "sample")
-    probe_length = _uniform_length(probe_seqs, "probe")
+    sample_codes = _batch(samples)[1]
+    probe_codes = _batch(probes)[1]
+    sample_length, probe_length = sample_codes.shape[1], probe_codes.shape[1]
     if probe_length > sample_length:
         raise ValueError(f"probe length {probe_length} exceeds sample length {sample_length}")
-    targets = 3 - np.stack([_encode(p) for p in probe_seqs])
-    out = np.empty((len(sample_seqs), len(probe_seqs)), dtype=np.int64)
-    for i, seq in enumerate(sample_seqs):
-        out[i] = _best_matches(_encode(seq), targets)
-    return out
+    # complement in code space: A=0 <-> T=3, C=1 <-> G=2
+    targets = 3 - probe_codes
+    return np.stack([_best_matches(codes, targets) for codes in sample_codes])
+
+
+def _kmer_sets(seqs, k: int) -> tuple[list[set[str]], int]:
+    """Distinct length-``k`` windows of each equal-length sequence, and the
+    number of windows per sequence, ``length - k + 1``."""
+    seqs, codes = _batch(seqs)
+    length = codes.shape[1]
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if k > length:
+        raise ValueError(f"k-mer length {k} exceeds sequence length {length}")
+    windows = length - k + 1
+    return [{seq[i : i + k] for i in range(windows)} for seq in seqs], windows
 
 
 def kmer_set(seq: str, k: int) -> set[str]:
     """Distinct length-``k`` windows of ``seq``."""
-    validate_sequence(seq)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if k > len(seq):
-        raise ValueError(f"k-mer length {k} exceeds sequence length {len(seq)}")
-    return {seq[i : i + k] for i in range(len(seq) - k + 1)}
-
-
-def _check_pair(x: str, y: str, k: int) -> None:
-    validate_sequence(x)
-    validate_sequence(y)
-    if len(x) != len(y):
-        raise ValueError(f"sequences must have equal length, got {len(x)} and {len(y)}")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if k > len(x):
-        raise ValueError(f"k-mer length {k} exceeds sequence length {len(x)}")
+    return _kmer_sets((seq,), k)[0][0]
 
 
 def overlap(x: str, y: str, k: int) -> float:
@@ -329,8 +282,8 @@ def overlap(x: str, y: str, k: int) -> float:
     ``|kmers(x) & kmers(y)| / (W - k + 1)``: symmetric, in [0, 1], and equal
     to 1 for identical sequences with no repeated window.
     """
-    _check_pair(x, y, k)
-    return len(kmer_set(x, k) & kmer_set(y, k)) / (len(x) - k + 1)
+    (x_kmers, y_kmers), windows = _kmer_sets((x, y), k)
+    return len(x_kmers & y_kmers) / windows
 
 
 def negative_overlap(x: str, y: str, k: int) -> float:
@@ -339,5 +292,5 @@ def negative_overlap(x: str, y: str, k: int) -> float:
     Complements :func:`overlap` exactly when x has no repeated window:
     the two then sum to 1.
     """
-    _check_pair(x, y, k)
-    return len(kmer_set(x, k) - kmer_set(y, k)) / (len(x) - k + 1)
+    (x_kmers, y_kmers), windows = _kmer_sets((x, y), k)
+    return len(x_kmers - y_kmers) / windows

@@ -196,7 +196,7 @@ def run_realization(
     """
     family = reference_family(sample_length, stream(seed, "family"))
     probes = random_probes(n_probes, probe_length, stream(seed, "probes"))
-    return similarity_report(family, probes, seed=seed)
+    return similarity_report(family, probes)
 
 
 def _realize_task(task) -> tuple[int, int, tuple[float, ...]]:
@@ -216,6 +216,7 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     The seed of each cell depends only on (base_seed, grid value,
     realization index), and results land in a preallocated array by index,
     so the output is identical for any ``jobs`` and any completion order.
+    ``jobs`` above 1 starts at most ``os.cpu_count()`` worker processes.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
@@ -231,7 +232,8 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
         outcomes = map(_realize_task, tasks)
     else:
         # real pool even on one CPU so schedule independence is exercised
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_realize_task, tasks, chunksize=8))
     for grid_index, realization_index, pair_errors in outcomes:
         errors[grid_index, realization_index, :] = pair_errors

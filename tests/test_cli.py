@@ -99,7 +99,6 @@ class TestFigureCommand:
             "realizations = 2\n"
             "grid = 50, 100   # two points\n"
             "m = 40\n"
-            "n = 10\n"
         )
         monkeypatch.chdir(tmp_path)
         assert main(["figure", "1", "--config", str(cfg)]) == 0

@@ -242,24 +242,6 @@ class TestChooseK:
         assert choose_k(ModelConfig(2, 2, 5)) == 5.0
         assert choose_k(ModelConfig(2, 2, 1)) == 1.0
 
-    def test_range_calibrated_halves_k(self):
-        # raw predictions peak at 4 while opinions peak at 2: k drops to L/2
-        config = ModelConfig(n_individuals=2, n_products=2, n_components=4)
-        opinions = np.array([[1.0, 2.0], [0.0, 0.0]])
-        correlations = np.ones((2, 2))
-        k = choose_k(config, "range-calibrated", opinions=opinions, correlations=correlations)
-        assert k == pytest.approx(2.0)
-        calibrated = predict_matrix(correlations, opinions, k)
-        assert np.max(np.abs(calibrated)) == pytest.approx(np.max(np.abs(opinions)))
-
-    def test_range_calibrated_needs_data(self):
-        with pytest.raises(ValueError):
-            choose_k(ModelConfig(2, 2, 3), "range-calibrated")
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            choose_k(ModelConfig(2, 2, 3), "slope")
-
 
 class TestErrors:
     def test_perfect_prediction_is_exactly_zero(self):

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corrclass.rng import stream
 from corrclass.sequences import (
     ALPHABET,
     ProbeSet,
     ReferenceFamily,
-    SampleSet,
     complement,
     kmer_set,
     match_matrix,
@@ -18,7 +19,6 @@ from corrclass.sequences import (
     random_probes,
     random_sequence,
     reference_family,
-    sequences_of,
 )
 
 COMPLEMENT = str.maketrans("ACGT", "TGCA")
@@ -33,6 +33,16 @@ def oracle_match(sample: str, probe: str) -> int:
         if hits > best:
             best = hits
     return best
+
+
+@st.composite
+def match_case(draw):
+    """Samples of one width and probes of one length in 1..width."""
+    width = draw(st.integers(1, 24))
+    length = draw(st.integers(1, width))
+    samples = st.lists(st.text("ACGT", min_size=width, max_size=width), min_size=1, max_size=4)
+    probes = st.lists(st.text("ACGT", min_size=length, max_size=length), min_size=1, max_size=5)
+    return draw(samples), draw(probes)
 
 
 class TestComplement:
@@ -81,16 +91,13 @@ class TestSequenceSets:
             ProbeSet(("ACG", "ACGT"))
         with pytest.raises(ValueError):
             ProbeSet(())
+        with pytest.raises(ValueError):
+            ProbeSet(("ACGX",))
+        with pytest.raises(ValueError):
+            ProbeSet(("ACG\u00c5",))
         probes = ProbeSet(("ACG", "TTT"))
         assert probes.length == 3
         assert len(probes) == 2
-
-    def test_sample_set_validates_content(self):
-        with pytest.raises(ValueError):
-            SampleSet(("ACGX",))
-        samples = SampleSet(("ACGT", "TTTT"))
-        assert samples.length == 4
-        assert list(samples) == ["ACGT", "TTTT"]
 
     def test_random_probes_batched_draw(self):
         probes = random_probes(12, 7, stream(4, "p"))
@@ -104,13 +111,6 @@ class TestSequenceSets:
             random_probes(0, 5, stream(0, "p"))
         with pytest.raises(ValueError):
             random_probes(5, 0, stream(0, "p"))
-
-    def test_sequences_of_duck_typing(self):
-        probes = ProbeSet(("ACG", "TTT"))
-        assert sequences_of(probes) == ("ACG", "TTT")
-        assert sequences_of(["ACG"]) == ("ACG",)
-        with pytest.raises(TypeError):
-            sequences_of("ACG")
 
 
 class TestReferenceFamily:
@@ -245,14 +245,29 @@ class TestMatchMatrix:
 
     def test_accepts_probe_and_sample_sets(self):
         rng = stream(18, "sets")
-        samples = SampleSet(tuple(random_sequence(15, rng) for _ in range(3)))
+        samples = tuple(random_sequence(15, rng) for _ in range(3))
         probes = random_probes(5, 4, rng)
         m = match_matrix(samples, probes)
         assert m.shape == (3, 5)
+        with pytest.raises(TypeError):
+            match_matrix(samples[0], probes)
 
     def test_probe_longer_than_sample_rejected(self):
         with pytest.raises(ValueError):
             match_matrix(["ACGT"], ["ACGTA"])
+
+    @settings(deadline=None)
+    @given(match_case())
+    @example((["ACGTT", "TTTTT"], ["TGCAA", "AAAAA", "GGGGG"]))  # L == W
+    @example((["ACGTT", "CCCCC"], ["A", "G", "T"]))  # L == 1
+    def test_property_equals_offset_scan_oracle(self, case):
+        samples, probes = case
+        got = match_matrix(samples, probes)
+        assert got.shape == (len(samples), len(probes))
+        for i, sample in enumerate(samples):
+            for k, probe in enumerate(probes):
+                assert got[i, k] == oracle_match(sample, probe)
+
 
 
 class TestOverlap:

@@ -9,6 +9,7 @@ import pytest
 from corrclass.rng import derive_seed, stream
 from corrclass.sequences import random_probes, reference_family
 from corrclass.analysis import similarity_report
+from corrclass import sweep
 from corrclass.sweep import (
     CSV_HEADER,
     DEFAULT_TRACKED_PAIRS,
@@ -118,10 +119,9 @@ class TestRunRealization:
         report = run_realization(40, 30, 6, seed=seed)
         family = reference_family(40, stream(seed, "family"))
         probes = random_probes(30, 6, stream(seed, "probes"))
-        manual = similarity_report(family, probes, seed=seed)
+        manual = similarity_report(family, probes)
         assert np.array_equal(report.correlation, manual.correlation)
         assert np.array_equal(report.overlap, manual.overlap)
-        assert report.params == manual.params
 
     def test_errors_stay_in_range(self):
         rng = stream(31, "seeds")
@@ -189,6 +189,31 @@ class TestRunSweep:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
             run_sweep(tiny_config(), jobs=0)
+
+    @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+    def test_workers_capped_at_cpu_count(self, tiny_result, monkeypatch, cpus, workers):
+        # a fake pool records the worker count and maps in-process, so no
+        # worker process is started
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+        capped = run_sweep(tiny_config(), jobs=1000)
+        assert started == [workers]
+        assert np.array_equal(capped.errors, tiny_result.errors)
 
     def test_series_accessor(self, tiny_result):
         values, means, stds = tiny_result.series((0, 4))
