@@ -43,6 +43,7 @@ from .sweep import (
 __all__ = ["main", "run", "read_config", "apply_overrides"]
 
 _CONFIG_KEYS = ("realizations", "grid", "m", "l", "w", "pairs")
+_INT_CONFIG_KEYS = ("realizations", "m", "l", "w")
 _JOBS_HELP = "worker processes, at most the CPU count (default 1)"
 
 
@@ -114,9 +115,13 @@ def _parse_fixed(items) -> dict[str, int]:
     return out
 
 
-def read_config(path) -> dict[str, str]:
-    """Parse a flat ``key = value`` override file with ``#`` comments."""
-    entries: dict[str, str] = {}
+def read_config(path) -> dict[str, str | int]:
+    """Parse a flat ``key = value`` override file with ``#`` comments.
+
+    Integer keys are converted here, so a bad value is reported with its
+    ``path:lineno``.
+    """
+    entries: dict[str, str | int] = {}
     with open(path, "r", encoding="ascii") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.split("#", 1)[0].strip()
@@ -129,11 +134,18 @@ def read_config(path) -> dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in _INT_CONFIG_KEYS:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: config key {key!r} must be an integer, got {value!r}"
+                    ) from None
             entries[key] = value
     return entries
 
 
-def apply_overrides(config: SweepConfig, entries: dict[str, str]) -> SweepConfig:
+def apply_overrides(config: SweepConfig, entries: dict[str, str | int]) -> SweepConfig:
     """Rebuild a SweepConfig with config-file overrides applied.
 
     Setting the swept variable's own fixed value is a contradiction and is

@@ -1,14 +1,17 @@
 """Nucleotide sequences and the nonlinear matching primitives.
 
-Sequences are plain uppercase strings over {A, C, G, T}.  The module covers
-Watson-Crick complements, seeded random generation, a family of eight
-engineered reference variants, the ungapped best-complementary-match kernel,
-and k-mer overlap measures between equal-length sequences.
+Sequences are uppercase strings over {A, C, G, T} at the API boundary and
+uint8 codes (A=0, C=1, G=2, T=3) inside: ``ProbeSet`` and ``ReferenceFamily``
+carry the codes they were validated into.  The module covers Watson-Crick
+complements, seeded random generation, a family of eight engineered
+reference variants, the ungapped best-complementary-match kernel, and k-mer
+overlap measures between equal-length sequences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,8 +40,11 @@ _CODE_OF_BYTE = np.full(256, 255, dtype=np.uint8)
 for _index, _byte in enumerate(b"ACGT"):
     _CODE_OF_BYTE[_byte] = _index
 
-# cap on elements of the (probes x offsets x length) scratch block
-_CHUNK_ELEMENTS = 1 << 26
+# one float32 one-hot row per base code
+_ONE_HOT = np.eye(4, dtype=np.float32)
+# cap on the float32 scratch of one kernel block: probe rows, window rows
+# and their (probes x offsets) product
+_CHUNK_BYTES = 1 << 23
 
 
 def _batch(seqs) -> tuple[tuple[str, ...], np.ndarray]:
@@ -79,6 +85,12 @@ def _decode(codes: np.ndarray) -> str:
     return bytes(_BASE_BYTES[np.asarray(codes, dtype=np.uint8)]).decode("ascii")
 
 
+def _decode_rows(codes: np.ndarray) -> tuple[str, ...]:
+    """One string per row of an ``(n, length)`` code array."""
+    text, length = _decode(codes), codes.shape[1]
+    return tuple(text[start : start + length] for start in range(0, len(text), length))
+
+
 def complement(seq: str) -> str:
     """Positionwise Watson-Crick complement (A<->T, C<->G), no reversal."""
     validate_sequence(seq)
@@ -92,27 +104,57 @@ def random_sequence(length: int, rng: np.random.Generator) -> str:
     return _decode(rng.integers(0, 4, size=length))
 
 
-@dataclass(frozen=True)
 class ProbeSet:
-    """Measurement sequences, all of one length."""
+    """Measurement sequences, all of one length, held as uint8 codes.
 
-    probes: tuple[str, ...]
+    Built from a collection of ACGT strings, which is validated once, or
+    from an ``(n, length)`` integer array of codes.  Strings are decoded
+    only on demand: ``probes``, iteration and indexing yield ``str``.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "probes", _batch(self.probes)[0])
+    __slots__ = ("codes",)
+
+    def __init__(self, probes) -> None:
+        if isinstance(probes, np.ndarray):
+            if probes.ndim != 2 or 0 in probes.shape or probes.dtype.kind not in "iu":
+                raise ValueError(
+                    f"probe codes must be a nonempty 2-D integer array, got {probes.dtype} "
+                    f"of shape {probes.shape}"
+                )
+            if probes.min() < 0 or probes.max() > 3:
+                raise ValueError("probe codes must lie in 0..3")
+            codes = probes.astype(np.uint8)
+        else:
+            codes = _batch(probes)[1]
+        codes.flags.writeable = False
+        self.codes = codes
+
+    @property
+    def probes(self) -> tuple[str, ...]:
+        return _decode_rows(self.codes)
 
     @property
     def length(self) -> int:
-        return len(self.probes[0])
+        return self.codes.shape[1]
 
     def __len__(self) -> int:
-        return len(self.probes)
+        return self.codes.shape[0]
 
     def __iter__(self):
         return iter(self.probes)
 
     def __getitem__(self, index):
-        return self.probes[index]
+        if isinstance(index, slice):
+            return _decode_rows(self.codes[index])
+        return _decode(self.codes[operator.index(index)])
+
+    def __eq__(self, other):
+        if not isinstance(other, ProbeSet):
+            return NotImplemented
+        return np.array_equal(self.codes, other.codes)
+
+    def __hash__(self) -> int:
+        return hash((self.codes.shape, self.codes.tobytes()))
 
 
 def random_probes(count: int, length: int, rng: np.random.Generator) -> ProbeSet:
@@ -121,8 +163,8 @@ def random_probes(count: int, length: int, rng: np.random.Generator) -> ProbeSet
         raise ValueError(f"count must be positive, got {count}")
     if length < 1:
         raise ValueError(f"length must be positive, got {length}")
-    codes = rng.integers(0, 4, size=(count, length))
-    return ProbeSet(tuple(_decode(row) for row in codes))
+    # the default dtype fixes the stream; a uint8 draw would yield other probes
+    return ProbeSet(rng.integers(0, 4, size=(count, length)))
 
 
 @dataclass(frozen=True)
@@ -133,15 +175,19 @@ class ReferenceFamily:
     with a fresh tail base; 3 shifts then mutates; 4 exchanges the two
     halves; 5 starts with the anchor's second half and ends randomly; 6 and
     7 are fresh random sequences that share one implanted block (the
-    "gene") of a third of the length, placed at opposite ends.
+    "gene") of a third of the length, placed at opposite ends.  ``codes``
+    holds the validated ``(8, sample_length)`` uint8 codes of ``seqs``.
     """
 
     seqs: tuple[str, ...]
     gene_length: int
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seqs, codes = _batch(self.seqs)
+        codes.flags.writeable = False
         object.__setattr__(self, "seqs", seqs)
+        object.__setattr__(self, "codes", codes)
         if len(seqs) != 8:
             raise ValueError(f"a reference family has exactly 8 sequences, got {len(seqs)}")
         length = codes.shape[1]
@@ -213,22 +259,11 @@ def reference_family(sample_length: int, rng: np.random.Generator) -> ReferenceF
     )
 
 
-def _best_matches(sample_codes: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Max positionwise hits of each target row over all sample windows.
-
-    ``targets`` holds complemented probe codes, one row per probe.  Work is
-    chunked over probes so the scratch block stays within _CHUNK_ELEMENTS.
-    """
-    length = targets.shape[1]
-    windows = sliding_window_view(sample_codes, length)
-    n_offsets = windows.shape[0]
-    best = np.empty(targets.shape[0], dtype=np.int64)
-    step = max(1, _CHUNK_ELEMENTS // max(1, n_offsets * length))
-    for start in range(0, targets.shape[0], step):
-        block = targets[start : start + step]
-        hits = (windows[np.newaxis, :, :] == block[:, np.newaxis, :]).sum(axis=2)
-        best[start : start + block.shape[0]] = hits.max(axis=1)
-    return best
+def _codes(seqs) -> np.ndarray:
+    """Codes a ``ProbeSet`` or ``ReferenceFamily`` carries; other collections are validated."""
+    if isinstance(seqs, (ProbeSet, ReferenceFamily)):
+        return seqs.codes
+    return _batch(seqs)[1]
 
 
 def max_complementary_match(sample: str, probe: str) -> int:
@@ -244,18 +279,36 @@ def max_complementary_match(sample: str, probe: str) -> int:
 def match_matrix(samples, probes) -> np.ndarray:
     """Best complementary match of every sample against every probe.
 
-    Entry (i, k) equals ``max_complementary_match(samples[i], probes[k])``;
-    the scan over probes and offsets is vectorized but agrees exactly with
-    the per-pair definition.
+    Entry (i, k) equals ``max_complementary_match(samples[i], probes[k])``.
+    Complemented probes and sample windows become one-hot rows of length
+    4L, so a matrix product counts the pairing positions of every (probe,
+    offset) pair.  Each count is a sum of 0/1 products, an integer <= L <
+    2**24, so float32 gives it exactly in any summation order.
     """
-    sample_codes = _batch(samples)[1]
-    probe_codes = _batch(probes)[1]
-    sample_length, probe_length = sample_codes.shape[1], probe_codes.shape[1]
-    if probe_length > sample_length:
-        raise ValueError(f"probe length {probe_length} exceeds sample length {sample_length}")
-    # complement in code space: A=0 <-> T=3, C=1 <-> G=2
-    targets = 3 - probe_codes
-    return np.stack([_best_matches(codes, targets) for codes in sample_codes])
+    sample_codes, probe_codes = _codes(samples), _codes(probes)
+    n_probes, length = probe_codes.shape
+    n_offsets = sample_codes.shape[1] - length + 1
+    if n_offsets < 1:
+        raise ValueError(f"probe length {length} exceeds sample length {sample_codes.shape[1]}")
+    width = 4 * length
+    budget = _CHUNK_BYTES // 4
+    probe_step = min(n_probes, max(1, budget // (2 * width)))
+    offset_step = max(1, (budget - probe_step * width) // (width + probe_step))
+    best = np.zeros((len(sample_codes), n_probes), dtype=np.float32)
+    for start in range(0, n_probes, probe_step):
+        stop = start + probe_step
+        # complement in code space: A=0 <-> T=3, C=1 <-> G=2; rows laid out
+        # base-major to match the windows below
+        targets = _ONE_HOT[3 - probe_codes[start:stop]].transpose(0, 2, 1).reshape(-1, width)
+        for row, codes in zip(best, sample_codes):
+            for offset in range(0, n_offsets, offset_step):
+                one_hot = _ONE_HOT[codes[offset : offset + offset_step + length - 1]]
+                windows = sliding_window_view(one_hot, length, axis=0)
+                # one expression, so the window rows and the product are freed
+                # before the next chunk is built
+                hits = (targets @ windows.reshape(-1, width).T).max(axis=1)
+                np.maximum(row[start:stop], hits, out=row[start:stop])
+    return best.astype(np.int64)
 
 
 def _kmer_sets(seqs, k: int) -> tuple[list[set[str]], int]:

@@ -34,3 +34,5 @@ def test_every_span_fires_and_records(tracing, tmp_path, capsys):
         assert calls[name] > 0, f"span {name} never fired"
         if record is not None:
             assert len(values[name]) == calls[name], f"span {name} recorded no value"
+    # 8 samples x 6 probes x (W - L + 1) offsets x L positions, over W = 8 and 12
+    assert sum(values["sequences.match_matrix"]) == 8 * 6 * ((8 - 3 + 1) * 3 + (12 - 3 + 1) * 3)

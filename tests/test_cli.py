@@ -136,6 +136,15 @@ class TestFigureCommand:
         assert main(["figure", "1", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
         assert ":2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["m = abc", "realizations = 2.5"])
+    def test_non_integer_config_value_reports_location(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# comment\n{line}\n")
+        assert main(["figure", "1", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        key, _, value = line.partition(" = ")
+        expected = f"{cfg}:2: config key {key!r} must be an integer, got {value!r}"
+        assert expected in capsys.readouterr().err
+
     def test_missing_config_file_exits_2(self, tmp_path):
         args = ["figure", "1", "--config", str(tmp_path / "absent.cfg")]
         assert main(args + ["--out", str(tmp_path / "x.csv")]) == 2

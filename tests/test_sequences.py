@@ -1,10 +1,13 @@
 """Sequence primitives: complements, families, match kernel, overlaps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corrclass import sequences
 from corrclass.rng import stream
 from corrclass.sequences import (
     ALPHABET,
@@ -98,6 +101,35 @@ class TestSequenceSets:
         probes = ProbeSet(("ACG", "TTT"))
         assert probes.length == 3
         assert len(probes) == 2
+
+    def test_probe_set_from_codes_validates(self):
+        codes = np.array([[0, 1, 2, 3], [3, 3, 0, 0]])
+        assert ProbeSet(codes).probes == ("ACGT", "TTAA")
+        assert ProbeSet(codes) == ProbeSet(("ACGT", "TTAA"))
+        for bad in (codes - 1, codes + 1, codes[0], codes[:0], codes.astype(float)):
+            with pytest.raises(ValueError):
+                ProbeSet(bad)
+
+    def test_probe_set_string_api(self):
+        strs = ["ACGTA", "TTGCA", "GGGCC"]
+        probes = ProbeSet(strs)
+        assert probes.probes == tuple(strs)
+        assert probes[1] == "TTGCA" and type(probes[1]) is str
+        assert probes[-1] == "GGGCC"
+        assert probes[1:] == tuple(strs[1:])
+        assert list(probes) == strs and all(type(probe) is str for probe in probes)
+        assert len(probes) == 3
+        assert probes.length == 5
+        with pytest.raises(IndexError):
+            probes[3]
+
+    def test_random_probes_decode_the_default_dtype_draw(self):
+        # a uint8 draw from the same stream yields different probes; the
+        # stock figures depend on the default-dtype stream
+        for seed in range(3):
+            codes = stream(seed, "probes").integers(0, 4, size=(40, 9))
+            expected = tuple("".join(ALPHABET[code] for code in row) for row in codes)
+            assert random_probes(40, 9, stream(seed, "probes")).probes == expected
 
     def test_random_probes_batched_draw(self):
         probes = random_probes(12, 7, stream(4, "p"))
@@ -256,18 +288,52 @@ class TestMatchMatrix:
         with pytest.raises(ValueError):
             match_matrix(["ACGT"], ["ACGTA"])
 
+    def test_carried_codes_match_rebuilt_strings(self):
+        rng = stream(19, "carry")
+        family = reference_family(40, rng)
+        probes = random_probes(25, 6, rng)
+        rebuilt = ProbeSet(probes.probes)
+        assert np.array_equal(
+            match_matrix(family, probes), match_matrix(list(family.seqs), rebuilt)
+        )
+
+    def test_scratch_memory_is_bounded(self):
+        # 44.5 MiB is the traced peak of the boolean-broadcast kernel this
+        # one replaced, on the same input
+        rng = stream(31, "long")
+        sample = random_sequence(200_000, rng)
+        probes = [random_sequence(50, rng) for _ in range(4)]
+        tracemalloc.start()
+        try:
+            match_matrix([sample], probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 44.5 * 2**20
+
+    def test_chunks_split_probes_and_offsets(self, monkeypatch):
+        # at L = 4 a 400-byte cap gives blocks of 3 probes by 2 offsets
+        monkeypatch.setattr(sequences, "_CHUNK_BYTES", 400)
+        rng = stream(32, "chunks")
+        samples = [random_sequence(30, rng) for _ in range(3)]
+        probes = [random_sequence(4, rng) for _ in range(10)]
+        got = match_matrix(samples, probes)
+        for i, sample in enumerate(samples):
+            for k, probe in enumerate(probes):
+                assert got[i, k] == oracle_match(sample, probe)
+
     @settings(deadline=None)
     @given(match_case())
     @example((["ACGTT", "TTTTT"], ["TGCAA", "AAAAA", "GGGGG"]))  # L == W
     @example((["ACGTT", "CCCCC"], ["A", "G", "T"]))  # L == 1
     def test_property_equals_offset_scan_oracle(self, case):
         samples, probes = case
-        got = match_matrix(samples, probes)
-        assert got.shape == (len(samples), len(probes))
-        for i, sample in enumerate(samples):
-            for k, probe in enumerate(probes):
-                assert got[i, k] == oracle_match(sample, probe)
-
+        for given_probes in (probes, ProbeSet(probes)):
+            got = match_matrix(samples, given_probes)
+            assert got.shape == (len(samples), len(probes))
+            for i, sample in enumerate(samples):
+                for k, probe in enumerate(probes):
+                    assert got[i, k] == oracle_match(sample, probe)
 
 
 class TestOverlap:
