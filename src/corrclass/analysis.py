@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .opinions import CorrelationMatrix, row_correlation
-from .sequences import _kmer_sets, match_matrix
+from .sequences import _codes, _window_count, match_matrix
 
 __all__ = [
     "SimilarityReport",
@@ -58,16 +59,19 @@ def sample_correlation(match) -> CorrelationMatrix:
 def overlap_matrix(samples, k: int) -> np.ndarray:
     """Pairwise k-mer overlap of the samples.
 
-    Entry (i, j) equals ``overlap(samples[i], samples[j], k)``; each
-    sample's k-mer set is built once.  Diagonal entries are self-overlaps,
-    which fall below 1 when a sequence repeats one of its length-k windows.
+    Entry (i, j) equals ``overlap(samples[i], samples[j], k)``, counted for
+    every pair at once from one numbering of all samples' k-byte window
+    keys.  Diagonal entries are self-overlaps, which fall below 1 when a
+    sequence repeats one of its length-k windows.
     """
-    kmers, windows = _kmer_sets(samples, k)
-    out = np.empty((len(kmers), len(kmers)))
-    for i, own in enumerate(kmers):
-        for j in range(i, len(kmers)):
-            out[i, j] = out[j, i] = len(own & kmers[j]) / windows
-    return out
+    codes = _codes(samples)
+    windows = _window_count(codes.shape[1], k)
+    keys = np.ascontiguousarray(sliding_window_view(codes, k, axis=1)).view(f"V{k}")
+    _, key_ids = np.unique(keys.ravel(), return_inverse=True)
+    # counts below 2**53 are exact in float64, whose product runs in BLAS
+    present = np.zeros((len(codes), key_ids.max() + 1))
+    present[np.arange(len(codes)).repeat(windows), key_ids] = 1
+    return (present @ present.T) / windows
 
 
 def similarity_report(samples, probes) -> SimilarityReport:

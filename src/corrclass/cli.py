@@ -43,7 +43,6 @@ from .sweep import (
 __all__ = ["main", "run", "read_config", "apply_overrides"]
 
 _CONFIG_KEYS = ("realizations", "grid", "m", "l", "w", "pairs")
-_INT_CONFIG_KEYS = ("realizations", "m", "l", "w")
 _JOBS_HELP = "worker processes, at most the CPU count (default 1)"
 
 
@@ -115,13 +114,25 @@ def _parse_fixed(items) -> dict[str, int]:
     return out
 
 
-def read_config(path) -> dict[str, str | int]:
+def _config_value(key: str, value: str):
+    """A config value converted by key: a grid, pairs or an integer."""
+    if key == "grid":
+        return _parse_grid(value)
+    if key == "pairs":
+        return _parse_pairs(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"config key {key!r} must be an integer, got {value!r}") from None
+
+
+def read_config(path) -> dict:
     """Parse a flat ``key = value`` override file with ``#`` comments.
 
-    Integer keys are converted here, so a bad value is reported with its
+    Values are converted here, so a bad one is reported with its
     ``path:lineno``.
     """
-    entries: dict[str, str | int] = {}
+    entries = {}
     with open(path, "r", encoding="ascii") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.split("#", 1)[0].strip()
@@ -134,38 +145,33 @@ def read_config(path) -> dict[str, str | int]:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in _INT_CONFIG_KEYS:
-                try:
-                    value = int(value)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: config key {key!r} must be an integer, got {value!r}"
-                    ) from None
-            entries[key] = value
+            try:
+                entries[key] = _config_value(key, value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return entries
 
 
-def apply_overrides(config: SweepConfig, entries: dict[str, str | int]) -> SweepConfig:
+def apply_overrides(config: SweepConfig, entries: dict) -> SweepConfig:
     """Rebuild a SweepConfig with config-file overrides applied.
 
-    Setting the swept variable's own fixed value is a contradiction and is
-    rejected.
+    Values may be converted already, as ``read_config`` returns them, or
+    still be strings.  Setting the swept variable's own fixed value is a
+    contradiction and is rejected.
     """
     updates = {}
     for key, value in entries.items():
-        if key == "grid":
-            updates["grid"] = _parse_grid(value)
-        elif key == "pairs":
-            updates["pairs"] = _parse_pairs(value)
-        elif key == "realizations":
-            updates["realizations"] = int(value)
+        if isinstance(value, str):
+            value = _config_value(key, value)
+        if key in ("grid", "pairs", "realizations"):
+            updates[key] = value
         else:
             variable = key.upper()
             if variable == config.swept:
                 raise ValueError(
                     f"config key {key!r} conflicts with the swept variable {config.swept}"
                 )
-            updates[_FIXED_FIELD[variable]] = int(value)
+            updates[_FIXED_FIELD[variable]] = value
     return dataclasses.replace(config, **updates)
 
 

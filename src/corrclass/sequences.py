@@ -1,8 +1,10 @@
 """Nucleotide sequences and the nonlinear matching primitives.
 
-Sequences are uppercase strings over {A, C, G, T} at the API boundary and
-uint8 codes (A=0, C=1, G=2, T=3) inside: ``ProbeSet`` and ``ReferenceFamily``
-carry the codes they were validated into.  The module covers Watson-Crick
+Sequences are uint8 codes (A=0, C=1, G=2, T=3) from the random draw to the
+score: ``ProbeSet`` and its subclass ``ReferenceFamily`` hold codes, and the
+match kernel and the k-mer overlap matrix window them.  Uppercase strings
+over {A, C, G, T} appear only at the API and FASTA boundary, validated into
+codes once and decoded on demand.  The module covers Watson-Crick
 complements, seeded random generation, a family of eight engineered
 reference variants, the ungapped best-complementary-match kernel, and k-mer
 overlap measures between equal-length sequences.
@@ -11,7 +13,6 @@ overlap measures between equal-length sequences.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,9 +43,9 @@ for _index, _byte in enumerate(b"ACGT"):
 
 # one float32 one-hot row per base code
 _ONE_HOT = np.eye(4, dtype=np.float32)
-# cap on the float32 scratch of one kernel block: probe rows, window rows
-# and their (probes x offsets) product
-_CHUNK_BYTES = 1 << 23
+# cap on the float32 scratch of one kernel block: probe rows, the window
+# rows of all samples and their product
+_CHUNK_BYTES = 1 << 20
 
 
 def _batch(seqs) -> tuple[tuple[str, ...], np.ndarray]:
@@ -118,11 +119,11 @@ class ProbeSet:
         if isinstance(probes, np.ndarray):
             if probes.ndim != 2 or 0 in probes.shape or probes.dtype.kind not in "iu":
                 raise ValueError(
-                    f"probe codes must be a nonempty 2-D integer array, got {probes.dtype} "
+                    f"codes must be a nonempty 2-D integer array, got {probes.dtype} "
                     f"of shape {probes.shape}"
                 )
             if probes.min() < 0 or probes.max() > 3:
-                raise ValueError("probe codes must lie in 0..3")
+                raise ValueError("codes must lie in 0..3")
             codes = probes.astype(np.uint8)
         else:
             codes = _batch(probes)[1]
@@ -167,55 +168,41 @@ def random_probes(count: int, length: int, rng: np.random.Generator) -> ProbeSet
     return ProbeSet(rng.integers(0, 4, size=(count, length)))
 
 
-@dataclass(frozen=True)
-class ReferenceFamily:
+class ReferenceFamily(ProbeSet):
     """Eight engineered variants of one random anchor sequence.
 
     Index 0 is the anchor.  1 mutates the central base; 2 shifts left by one
     with a fresh tail base; 3 shifts then mutates; 4 exchanges the two
     halves; 5 starts with the anchor's second half and ends randomly; 6 and
     7 are fresh random sequences that share one implanted block (the
-    "gene") of a third of the length, placed at opposite ends.  ``codes``
-    holds the validated ``(8, sample_length)`` uint8 codes of ``seqs``.
+    "gene") of a third of the length, placed at opposite ends.  Built, like
+    a ``ProbeSet``, from eight ACGT strings or an ``(8, sample_length)``
+    code array; ``seqs`` and ``sample_length`` name ``probes`` and
+    ``length``.
     """
 
-    seqs: tuple[str, ...]
-    gene_length: int
-    codes: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("gene_length",)
 
-    def __post_init__(self) -> None:
-        seqs, codes = _batch(self.seqs)
-        codes.flags.writeable = False
-        object.__setattr__(self, "seqs", seqs)
-        object.__setattr__(self, "codes", codes)
-        if len(seqs) != 8:
-            raise ValueError(f"a reference family has exactly 8 sequences, got {len(seqs)}")
-        length = codes.shape[1]
-        if self.gene_length != length // 3:
+    def __init__(self, seqs, gene_length: int) -> None:
+        super().__init__(seqs)
+        if len(self) != 8:
+            raise ValueError(f"a reference family has exactly 8 sequences, got {len(self)}")
+        if gene_length != self.length // 3:
             raise ValueError(
-                f"gene_length must be sample_length // 3 = {length // 3}, got {self.gene_length}"
+                f"gene_length must be sample_length // 3 = {self.length // 3}, got {gene_length}"
             )
+        self.gene_length = gene_length
 
-    @property
-    def sample_length(self) -> int:
-        return len(self.seqs[0])
-
-    def __len__(self) -> int:
-        return len(self.seqs)
-
-    def __iter__(self):
-        return iter(self.seqs)
-
-    def __getitem__(self, index):
-        return self.seqs[index]
+    seqs = ProbeSet.probes
+    sample_length = ProbeSet.length
 
 
-def _mutate_center(seq: str, rng: np.random.Generator) -> str:
-    """Replace the middle base with a different one, chosen uniformly."""
-    middle = len(seq) // 2
-    options = [base for base in ALPHABET if base != seq[middle]]
-    replacement = options[int(rng.integers(0, len(options)))]
-    return seq[:middle] + replacement + seq[middle + 1 :]
+def _mutate_center(codes: np.ndarray, rng: np.random.Generator) -> None:
+    """Replace the middle base in place with a different one, chosen uniformly."""
+    middle = len(codes) // 2
+    # the k-th of the three other bases in ACGT order
+    choice = int(rng.integers(0, 3))
+    codes[middle] = choice + (choice >= codes[middle])
 
 
 def reference_family(sample_length: int, rng: np.random.Generator) -> ReferenceFamily:
@@ -232,36 +219,26 @@ def reference_family(sample_length: int, rng: np.random.Generator) -> ReferenceF
     half = w // 2
     gene_length = w // 3
 
-    anchor = random_sequence(w, rng)
-    mutated = _mutate_center(anchor, rng)
-    shifted = anchor[1:] + random_sequence(1, rng)
-    shifted_mutated = _mutate_center(shifted, rng)
-    swapped = anchor[half:] + anchor[:half]
-    half_copy = anchor[half : 2 * half] + random_sequence(w - half, rng)
-    first_body = random_sequence(w, rng)
-    second_body = random_sequence(w, rng)
-    gene = random_sequence(gene_length, rng)
-    with_gene_left = gene + first_body[gene_length:]
-    with_gene_right = second_body[: w - gene_length] + gene
+    def draw(length: int) -> np.ndarray:
+        # the default dtype, as random_sequence draws
+        return rng.integers(0, 4, size=length)
 
-    return ReferenceFamily(
-        seqs=(
-            anchor,
-            mutated,
-            shifted,
-            shifted_mutated,
-            swapped,
-            half_copy,
-            with_gene_left,
-            with_gene_right,
-        ),
-        gene_length=gene_length,
-    )
+    codes = np.empty((8, w), dtype=np.uint8)
+    codes[0] = codes[1] = anchor = draw(w)
+    _mutate_center(codes[1], rng)
+    codes[2] = codes[3] = np.concatenate((anchor[1:], draw(1)))
+    _mutate_center(codes[3], rng)
+    codes[4] = np.roll(anchor, -half)
+    codes[5] = np.concatenate((anchor[half : 2 * half], draw(w - half)))
+    codes[6] = draw(w)
+    codes[7] = draw(w)
+    codes[6, :gene_length] = codes[7, w - gene_length :] = draw(gene_length)
+    return ReferenceFamily(codes, gene_length)
 
 
 def _codes(seqs) -> np.ndarray:
     """Codes a ``ProbeSet`` or ``ReferenceFamily`` carries; other collections are validated."""
-    if isinstance(seqs, (ProbeSet, ReferenceFamily)):
+    if isinstance(seqs, ProbeSet):
         return seqs.codes
     return _batch(seqs)[1]
 
@@ -286,41 +263,48 @@ def match_matrix(samples, probes) -> np.ndarray:
     2**24, so float32 gives it exactly in any summation order.
     """
     sample_codes, probe_codes = _codes(samples), _codes(probes)
-    n_probes, length = probe_codes.shape
+    n_samples, n_probes, length = len(sample_codes), *probe_codes.shape
     n_offsets = sample_codes.shape[1] - length + 1
     if n_offsets < 1:
         raise ValueError(f"probe length {length} exceeds sample length {sample_codes.shape[1]}")
     width = 4 * length
     budget = _CHUNK_BYTES // 4
     probe_step = min(n_probes, max(1, budget // (2 * width)))
-    offset_step = max(1, (budget - probe_step * width) // (width + probe_step))
-    best = np.zeros((len(sample_codes), n_probes), dtype=np.float32)
+    offset_step = max(1, (budget - probe_step * width) // (n_samples * (width + probe_step)))
+    best = np.zeros((n_samples, n_probes), dtype=np.float32)
     for start in range(0, n_probes, probe_step):
         stop = start + probe_step
         # complement in code space: A=0 <-> T=3, C=1 <-> G=2; rows laid out
         # base-major to match the windows below
         targets = _ONE_HOT[3 - probe_codes[start:stop]].transpose(0, 2, 1).reshape(-1, width)
-        for row, codes in zip(best, sample_codes):
-            for offset in range(0, n_offsets, offset_step):
-                one_hot = _ONE_HOT[codes[offset : offset + offset_step + length - 1]]
-                windows = sliding_window_view(one_hot, length, axis=0)
-                # one expression, so the window rows and the product are freed
-                # before the next chunk is built
-                hits = (targets @ windows.reshape(-1, width).T).max(axis=1)
-                np.maximum(row[start:stop], hits, out=row[start:stop])
+        block = best[:, start:stop]
+        for offset in range(0, n_offsets, offset_step):
+            one_hot = _ONE_HOT[sample_codes[:, offset : offset + offset_step + length - 1]]
+            windows = sliding_window_view(one_hot, length, axis=1)
+            # one expression, so the window rows of all samples and their
+            # product are freed before the next chunk is built
+            np.maximum(
+                block,
+                (windows.reshape(-1, width) @ targets.T).reshape(n_samples, -1, len(targets)).max(1),
+                out=block,
+            )
     return best.astype(np.int64)
+
+
+def _window_count(length: int, k: int) -> int:
+    """Number of length-``k`` windows in a sequence of ``length``."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if k > length:
+        raise ValueError(f"k-mer length {k} exceeds sequence length {length}")
+    return length - k + 1
 
 
 def _kmer_sets(seqs, k: int) -> tuple[list[set[str]], int]:
     """Distinct length-``k`` windows of each equal-length sequence, and the
     number of windows per sequence, ``length - k + 1``."""
     seqs, codes = _batch(seqs)
-    length = codes.shape[1]
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if k > length:
-        raise ValueError(f"k-mer length {k} exceeds sequence length {length}")
-    windows = length - k + 1
+    windows = _window_count(codes.shape[1], k)
     return [{seq[i : i + k] for i in range(windows)} for seq in seqs], windows
 
 

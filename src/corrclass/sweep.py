@@ -111,6 +111,9 @@ class SweepConfig:
                 raise ValueError(f"pair indices must lie in 0..{FAMILY_SIZE - 1}, got ({i}, {j})")
             if i == j:
                 raise ValueError(f"pair indices must differ, got ({i}, {j})")
+        # the error matrix is symmetric, so (j, i) is the same pair as (i, j)
+        if len({frozenset(pair) for pair in self.pairs}) < len(self.pairs):
+            raise ValueError(f"pairs must be distinct, got {self.pairs}")
 
         swept_field = _FIXED_FIELD[self.swept]
         if getattr(self, swept_field) is not None:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrclass.analysis import (
@@ -102,6 +102,8 @@ class TestOverlapMatrix:
 
     @settings(deadline=None)
     @given(overlap_case())
+    # windows longer than 32 bases, which differ only in their last base
+    @example((["A" * 40, "A" * 39 + "C", "ACGT" * 10], 34))
     def test_property_equals_pairwise_oracle(self, case):
         samples, k = case
         assert np.array_equal(overlap_matrix(samples, k), oracle_overlap_matrix(samples, k))

@@ -5,11 +5,12 @@ import re
 
 import pytest
 
-from corrclass.cli import main
+from corrclass.cli import apply_overrides, main
 from corrclass.fasta import read_fasta
 from corrclass.sweep import (
     CSV_HEADER,
     SweepConfig,
+    figure_preset,
     run_realization,
     run_sweep,
     write_plot_table,
@@ -144,6 +145,25 @@ class TestFigureCommand:
         key, _, value = line.partition(" = ")
         expected = f"{cfg}:2: config key {key!r} must be an integer, got {value!r}"
         assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("grid = 1,x", "grid must be comma-separated integers, got '1,x'"),
+            ("pairs = 0-1,x", "pairs must look like '0-1,6-7', got 'x'"),
+        ],
+    )
+    def test_bad_grid_or_pairs_config_value_reports_location(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{line}\n")
+        assert main(["figure", "1", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        assert f"{cfg}:1: {message}" in capsys.readouterr().err
+
+    def test_overrides_accept_a_dict_of_strings(self):
+        entries = {"realizations": "2", "grid": "50, 100", "m": "40", "pairs": "0-1,6-7"}
+        config = apply_overrides(figure_preset(1), entries)
+        assert (config.realizations, config.grid, config.n_probes) == (2, (50, 100), 40)
+        assert config.pairs == ((0, 1), (6, 7))
 
     def test_missing_config_file_exits_2(self, tmp_path):
         args = ["figure", "1", "--config", str(tmp_path / "absent.cfg")]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from corrclass import sequences
 from corrclass.rng import stream
@@ -186,10 +187,30 @@ class TestReferenceFamily:
 
     def test_family_type_validation(self):
         family = reference_family(12, stream(1, "family"))
-        with pytest.raises(ValueError):
-            ReferenceFamily(seqs=family.seqs[:7], gene_length=4)
-        with pytest.raises(ValueError):
-            ReferenceFamily(seqs=family.seqs, gene_length=3)
+        for seqs in (family.seqs, np.array(family.codes)):
+            with pytest.raises(ValueError):
+                ReferenceFamily(seqs=seqs[:7], gene_length=4)
+            with pytest.raises(ValueError):
+                ReferenceFamily(seqs=seqs, gene_length=3)
+
+    def test_family_is_pinned_to_its_stream(self):
+        pinned = (
+            "GAGCATGCGACA",
+            "GAGCATTCGACA",
+            "AGCATGCGACAG",
+            "AGCATGAGACAG",
+            "GCGACAGAGCAT",
+            "GCGACAGCAAAG",
+            "ACAGTGGAAGCA",
+            "TGGTCCATACAG",
+        )
+        family = reference_family(12, stream(3, "family"))
+        assert family.seqs == pinned
+        codes = np.array([[ALPHABET.index(base) for base in seq] for seq in pinned])
+        from_codes = ReferenceFamily(seqs=codes, gene_length=4)
+        assert ReferenceFamily(seqs=pinned, gene_length=4) == from_codes == family
+        assert family == ProbeSet(pinned)
+        assert from_codes.seqs == pinned
 
 
 class TestMatchKernel:
@@ -312,12 +333,22 @@ class TestMatchMatrix:
         assert peak <= 44.5 * 2**20
 
     def test_chunks_split_probes_and_offsets(self, monkeypatch):
-        # at L = 4 a 400-byte cap gives blocks of 3 probes by 2 offsets
-        monkeypatch.setattr(sequences, "_CHUNK_BYTES", 400)
+        # at L = 4 with 3 samples a 1,276-byte cap gives blocks of 9 probes by
+        # 2 offsets: 2 probe chunks by 14 offset chunks
+        monkeypatch.setattr(sequences, "_CHUNK_BYTES", 1276)
+        spans = []
+
+        def windows_spy(one_hot, *args, **kwargs):
+            spans.append(one_hot.shape)
+            return sliding_window_view(one_hot, *args, **kwargs)
+
+        monkeypatch.setattr(sequences, "sliding_window_view", windows_spy)
         rng = stream(32, "chunks")
         samples = [random_sequence(30, rng) for _ in range(3)]
         probes = [random_sequence(4, rng) for _ in range(10)]
         got = match_matrix(samples, probes)
+        assert len(spans) == 2 * 14 and spans[0] == (3, 2 + 4 - 1, 4)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
         for i, sample in enumerate(samples):
             for k, probe in enumerate(probes):
                 assert got[i, k] == oracle_match(sample, probe)

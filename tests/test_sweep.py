@@ -80,6 +80,9 @@ class TestSweepConfig:
             tiny_config(pairs=((0, 8),))
         with pytest.raises(ValueError, match="differ"):
             tiny_config(pairs=((3, 3),))
+        for pairs in (((0, 1), (0, 1)), ((0, 1), (1, 0))):
+            with pytest.raises(ValueError, match="distinct"):
+                tiny_config(pairs=pairs)
 
     def test_swept_field_must_stay_unset(self):
         with pytest.raises(ValueError, match="swept"):
