@@ -29,12 +29,11 @@ from .opinions import (
     row_correlation,
     theoretical_error,
 )
-from .rng import derive_seed, splitmix64, stream
+from .rng import derive_seed, stream
 from .sequences import (
     ALPHABET,
     ProbeSet,
     ReferenceFamily,
-    complement,
     kmer_set,
     match_matrix,
     max_complementary_match,
@@ -74,7 +73,6 @@ __all__ = [
     "SweepResult",
     "SweepRow",
     "choose_k",
-    "complement",
     "derive_seed",
     "empirical_error",
     "figure_preset",
@@ -99,7 +97,6 @@ __all__ = [
     "run_sweep",
     "sample_correlation",
     "similarity_report",
-    "splitmix64",
     "stream",
     "theoretical_error",
     "write_fasta",

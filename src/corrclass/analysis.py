@@ -13,7 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .opinions import CorrelationMatrix, row_correlation
-from .sequences import _codes, _window_count, match_matrix
+from .sequences import _CHUNK_BYTES, _codes, _window_count, match_matrix
 
 __all__ = [
     "SimilarityReport",
@@ -68,10 +68,18 @@ def overlap_matrix(samples, k: int) -> np.ndarray:
     windows = _window_count(codes.shape[1], k)
     keys = np.ascontiguousarray(sliding_window_view(codes, k, axis=1)).view(f"V{k}")
     _, key_ids = np.unique(keys.ravel(), return_inverse=True)
-    # counts below 2**53 are exact in float64, whose product runs in BLAS
-    present = np.zeros((len(codes), key_ids.max() + 1))
-    present[np.arange(len(codes)).repeat(windows), key_ids] = 1
-    return (present @ present.T) / windows
+    n_samples, n_keys = len(codes), key_ids.max() + 1
+    rows = np.arange(n_samples).repeat(windows)
+    # float64 presence columns of key-id blocks within _CHUNK_BYTES: integer
+    # counts below 2**53 are exact in BLAS's float64, so any blocking sums alike
+    step = min(n_keys, max(1, _CHUNK_BYTES // (8 * n_samples)))
+    counts = np.zeros((n_samples, n_samples))
+    for start in range(0, n_keys, step):
+        block = (key_ids >= start) & (key_ids < start + step)
+        present = np.zeros((n_samples, step))
+        present[rows[block], key_ids[block] - start] = 1
+        counts += present @ present.T
+    return counts / windows
 
 
 def similarity_report(samples, probes) -> SimilarityReport:
@@ -81,12 +89,11 @@ def similarity_report(samples, probes) -> SimilarityReport:
     as a ``ReferenceFamily`` and a ``ProbeSet``; ``match_matrix`` validates
     them.
     """
-    correlation = sample_correlation(match_matrix(samples, probes).astype(float))
-    corr = np.asarray(correlation)
+    correlation = sample_correlation(match_matrix(samples, probes))
     omega = overlap_matrix(samples, len(probes[0]))
     return SimilarityReport(
-        correlation=corr,
+        correlation=correlation.values,
         overlap=omega,
-        error=np.abs(corr - omega),
+        error=np.abs(correlation.values - omega),
         degenerate_rows=correlation.degenerate_rows,
     )

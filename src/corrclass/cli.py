@@ -181,6 +181,9 @@ def _plot_path(csv_path: str) -> str:
 
 
 def _run_and_write(config: SweepConfig, out: str, jobs: int) -> int:
+    # run_sweep checks jobs too late: opening the sinks truncates old outputs
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
     # open both sinks before the sweep so a bad path fails in milliseconds
     with open(out, "w", encoding="ascii", newline="") as csv_handle:
         with open(_plot_path(out), "w", encoding="ascii", newline="") as plot_handle:

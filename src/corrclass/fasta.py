@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from typing import TextIO
 
-from .sequences import validate_sequence
+from .sequences import _batch
 
 __all__ = ["read_fasta", "write_fasta", "LINE_WIDTH"]
 
@@ -21,7 +21,7 @@ def _write_handle(records, handle: TextIO) -> None:
     for name, seq in records:
         if not name or any(ch.isspace() for ch in name):
             raise ValueError(f"record name must be nonempty without whitespace: {name!r}")
-        validate_sequence(seq)
+        _batch((seq,))
         handle.write(f">{name}\n")
         for start in range(0, len(seq), LINE_WIDTH):
             handle.write(seq[start : start + LINE_WIDTH] + "\n")
@@ -46,7 +46,7 @@ def _read_handle(handle: TextIO) -> list[tuple[str, str]]:
         if name is None:
             return
         seq = "".join(chunks)
-        validate_sequence(seq)
+        _batch((seq,))
         records.append((name, seq))
 
     for raw in handle:

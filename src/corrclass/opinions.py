@@ -129,12 +129,8 @@ class CorrelationMatrix:
     values: np.ndarray
     degenerate_rows: tuple[int, ...] = ()
 
-    @property
-    def has_degenerate_rows(self) -> bool:
-        return bool(self.degenerate_rows)
-
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
+        return np.array(self.values, dtype=dtype, copy=copy)
 
 
 def row_correlation(matrix) -> CorrelationMatrix:
@@ -165,18 +161,12 @@ def row_correlation(matrix) -> CorrelationMatrix:
     )
 
 
-def _correlation_values(correlations) -> np.ndarray:
-    if isinstance(correlations, CorrelationMatrix):
-        return correlations.values
-    return np.asarray(correlations, dtype=float)
-
-
 def predict(correlations, opinions, individual: int, product: int, k: float) -> float:
     """Predict one opinion from everybody else's, weighted by correlation.
 
     Returns ``(k / n_individuals) * sum_i C[individual, i] * S[i, product]``.
     """
-    c = _correlation_values(correlations)
+    c = np.asarray(correlations, dtype=float)
     s = np.asarray(opinions, dtype=float)
     n_individuals = s.shape[0]
     if c.shape != (n_individuals, n_individuals):
@@ -190,7 +180,7 @@ def predict(correlations, opinions, individual: int, product: int, k: float) -> 
 
 def predict_matrix(correlations, opinions, k: float) -> np.ndarray:
     """All predictions at once: ``(k / n_individuals) * C @ S``."""
-    c = _correlation_values(correlations)
+    c = np.asarray(correlations, dtype=float)
     s = np.asarray(opinions, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] != s.shape[0]:
         raise ValueError(f"correlation shape {c.shape} does not match opinions shape {s.shape}")

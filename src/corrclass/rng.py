@@ -15,10 +15,10 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-__all__ = ["splitmix64", "derive_seed", "stream"]
+__all__ = ["derive_seed", "stream"]
 
 
-def splitmix64(value: int) -> int:
+def _splitmix64(value: int) -> int:
     """One SplitMix64 step: increment by the golden-gamma, then finalize."""
     z = (value + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -38,9 +38,9 @@ def _as_u64(part: int | str) -> int:
 
 def derive_seed(base_seed: int, *parts: int | str) -> int:
     """Hash ``(base_seed, *parts)`` into one 64-bit stream seed."""
-    state = splitmix64(_as_u64(base_seed))
+    state = _splitmix64(_as_u64(base_seed))
     for part in parts:
-        state = splitmix64(state ^ _as_u64(part))
+        state = _splitmix64(state ^ _as_u64(part))
     return state
 
 

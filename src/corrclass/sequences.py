@@ -4,10 +4,10 @@ Sequences are uint8 codes (A=0, C=1, G=2, T=3) from the random draw to the
 score: ``ProbeSet`` and its subclass ``ReferenceFamily`` hold codes, and the
 match kernel and the k-mer overlap matrix window them.  Uppercase strings
 over {A, C, G, T} appear only at the API and FASTA boundary, validated into
-codes once and decoded on demand.  The module covers Watson-Crick
-complements, seeded random generation, a family of eight engineered
-reference variants, the ungapped best-complementary-match kernel, and k-mer
-overlap measures between equal-length sequences.
+codes once and decoded on demand.  The module covers seeded random
+generation, a family of eight engineered reference variants, the ungapped
+best-complementary-match kernel, and k-mer overlap measures between
+equal-length sequences.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ __all__ = [
     "ALPHABET",
     "ProbeSet",
     "ReferenceFamily",
-    "validate_sequence",
-    "complement",
     "random_sequence",
     "random_probes",
     "reference_family",
@@ -34,8 +32,8 @@ __all__ = [
 ]
 
 ALPHABET = "ACGT"
+FAMILY_SIZE = 8
 
-_COMPLEMENT_TABLE = str.maketrans("ACGT", "TGCA")
 _BASE_BYTES = np.frombuffer(b"ACGT", dtype=np.uint8)
 _CODE_OF_BYTE = np.full(256, 255, dtype=np.uint8)
 for _index, _byte in enumerate(b"ACGT"):
@@ -43,8 +41,8 @@ for _index, _byte in enumerate(b"ACGT"):
 
 # one float32 one-hot row per base code
 _ONE_HOT = np.eye(4, dtype=np.float32)
-# cap on the float32 scratch of one kernel block: probe rows, the window
-# rows of all samples and their product
+# cap on one block's scratch: the kernel's float32 probe rows, window rows
+# and product, or the float64 presence columns of analysis.overlap_matrix
 _CHUNK_BYTES = 1 << 20
 
 
@@ -77,11 +75,6 @@ def _batch(seqs) -> tuple[tuple[str, ...], np.ndarray]:
     return seqs, codes.reshape(len(seqs), -1)
 
 
-def validate_sequence(seq: str) -> None:
-    """Reject non-strings, empty strings, and symbols outside {A, C, G, T}."""
-    _batch((seq,))
-
-
 def _decode(codes: np.ndarray) -> str:
     return bytes(_BASE_BYTES[np.asarray(codes, dtype=np.uint8)]).decode("ascii")
 
@@ -90,12 +83,6 @@ def _decode_rows(codes: np.ndarray) -> tuple[str, ...]:
     """One string per row of an ``(n, length)`` code array."""
     text, length = _decode(codes), codes.shape[1]
     return tuple(text[start : start + length] for start in range(0, len(text), length))
-
-
-def complement(seq: str) -> str:
-    """Positionwise Watson-Crick complement (A<->T, C<->G), no reversal."""
-    validate_sequence(seq)
-    return seq.translate(_COMPLEMENT_TABLE)
 
 
 def random_sequence(length: int, rng: np.random.Generator) -> str:
@@ -177,16 +164,15 @@ class ReferenceFamily(ProbeSet):
     7 are fresh random sequences that share one implanted block (the
     "gene") of a third of the length, placed at opposite ends.  Built, like
     a ``ProbeSet``, from eight ACGT strings or an ``(8, sample_length)``
-    code array; ``seqs`` and ``sample_length`` name ``probes`` and
-    ``length``.
+    code array; ``seqs`` names ``probes``.
     """
 
     __slots__ = ("gene_length",)
 
     def __init__(self, seqs, gene_length: int) -> None:
         super().__init__(seqs)
-        if len(self) != 8:
-            raise ValueError(f"a reference family has exactly 8 sequences, got {len(self)}")
+        if len(self) != FAMILY_SIZE:
+            raise ValueError(f"a reference family has {FAMILY_SIZE} sequences, got {len(self)}")
         if gene_length != self.length // 3:
             raise ValueError(
                 f"gene_length must be sample_length // 3 = {self.length // 3}, got {gene_length}"
@@ -194,7 +180,6 @@ class ReferenceFamily(ProbeSet):
         self.gene_length = gene_length
 
     seqs = ProbeSet.probes
-    sample_length = ProbeSet.length
 
 
 def _mutate_center(codes: np.ndarray, rng: np.random.Generator) -> None:
@@ -223,7 +208,7 @@ def reference_family(sample_length: int, rng: np.random.Generator) -> ReferenceF
         # the default dtype, as random_sequence draws
         return rng.integers(0, 4, size=length)
 
-    codes = np.empty((8, w), dtype=np.uint8)
+    codes = np.empty((FAMILY_SIZE, w), dtype=np.uint8)
     codes[0] = codes[1] = anchor = draw(w)
     _mutate_center(codes[1], rng)
     codes[2] = codes[3] = np.concatenate((anchor[1:], draw(1)))

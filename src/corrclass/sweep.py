@@ -19,12 +19,11 @@ import numpy as np
 
 from .analysis import SimilarityReport, similarity_report
 from .rng import derive_seed, stream
-from .sequences import random_probes, reference_family
+from .sequences import FAMILY_SIZE, random_probes, reference_family
 
 __all__ = [
     "SWEEP_VARIABLES",
     "DEFAULT_TRACKED_PAIRS",
-    "FAMILY_SIZE",
     "CSV_HEADER",
     "FIGURE_PRESETS",
     "SweepConfig",
@@ -39,7 +38,6 @@ __all__ = [
 ]
 
 SWEEP_VARIABLES = ("W", "M", "L")
-FAMILY_SIZE = 8
 DEFAULT_TRACKED_PAIRS = ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (6, 7))
 CSV_HEADER = "sweep_var,value,pair,mean_error,std_error,realizations"
 
@@ -75,6 +73,12 @@ def format_pair(pair: tuple[int, int]) -> str:
     return f"{pair[0]}-{pair[1]}"
 
 
+def _as_int(field: str, value) -> int:
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{field}: expected an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: which variable moves, its grid, and everything held fixed.
@@ -96,8 +100,10 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.swept not in SWEEP_VARIABLES:
             raise ValueError(f"swept must be one of {SWEEP_VARIABLES}, got {self.swept!r}")
-        object.__setattr__(self, "grid", tuple(int(v) for v in self.grid))
-        object.__setattr__(self, "pairs", tuple((int(i), int(j)) for i, j in self.pairs))
+        object.__setattr__(self, "grid", tuple(_as_int("grid", v) for v in self.grid))
+        pairs = tuple((_as_int("pairs", i), _as_int("pairs", j)) for i, j in self.pairs)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "realizations", _as_int("realizations", self.realizations))
         if not self.grid:
             raise ValueError("grid must be nonempty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
@@ -124,7 +130,7 @@ class SweepConfig:
             value = getattr(self, name)
             if value is None:
                 raise ValueError(f"{name} must be set when sweeping {self.swept}")
-            if not isinstance(value, int) or value < 1:
+            if _as_int(name, value) < 1:
                 raise ValueError(f"{name} must be a positive int, got {value!r}")
 
         for value in self.grid:
@@ -180,13 +186,14 @@ class SweepResult:
         if pair not in self.config.pairs:
             raise ValueError(f"pair {pair} was not tracked; tracked: {self.config.pairs}")
         col = self.config.pairs.index(pair)
-        values = np.asarray(self.config.grid, dtype=float)
-        means = self.errors[:, :, col].mean(axis=1)
-        if self.errors.shape[1] > 1:
-            stds = self.errors[:, :, col].std(axis=1, ddof=1)
-        else:
-            stds = np.zeros(len(self.config.grid))
-        return values, means, stds
+        return np.asarray(self.config.grid, dtype=float), *_statistics(self.errors[:, :, col])
+
+
+def _statistics(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sample standard deviation over realizations (axis 1); 0 for one."""
+    means = errors.mean(axis=1)
+    stds = errors.std(axis=1, ddof=1) if errors.shape[1] > 1 else np.zeros_like(means)
+    return means, stds
 
 
 def run_realization(
@@ -242,11 +249,7 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
         errors[grid_index, realization_index, :] = pair_errors
 
     rows = []
-    means = errors.mean(axis=1)
-    if config.realizations > 1:
-        stds = errors.std(axis=1, ddof=1)
-    else:
-        stds = np.zeros_like(means)
+    means, stds = _statistics(errors)
     for grid_index, value in enumerate(config.grid):
         for col, pair in enumerate(config.pairs):
             rows.append(

@@ -1,12 +1,14 @@
 """Similarity reports: match-row correlation vs k-mer overlap."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corrclass import analysis
 from corrclass.analysis import (
     SimilarityReport,
     overlap_matrix,
@@ -64,7 +66,6 @@ class TestSampleCorrelation:
         match = np.array([[4.0, 4.0, 4.0], [1.0, 2.0, 3.0], [3.0, 1.0, 2.0]])
         corr = sample_correlation(match)
         assert corr.degenerate_rows == (0,)
-        assert corr.has_degenerate_rows
         values = np.asarray(corr)
         assert np.array_equal(values[0], np.zeros(3))
         assert np.array_equal(values[:, 0], np.zeros(3))
@@ -99,6 +100,27 @@ class TestOverlapMatrix:
     def test_rejects_mixed_lengths(self):
         with pytest.raises(ValueError):
             overlap_matrix(["ACGT", "ACGTA"], 2)
+
+    def test_scratch_memory_is_bounded(self):
+        # one dense presence matrix of samples x distinct windows peaked at
+        # 121 MiB on this input
+        samples = random_probes(128, 1000, stream(41, "many"))
+        tracemalloc.start()
+        try:
+            overlap_matrix(samples, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+    @pytest.mark.parametrize("cap", [8, 3 * 8 * 5])
+    def test_key_blocks_sum_to_the_whole_matrix(self, monkeypatch, cap):
+        # one and three key ids per block for five samples
+        samples = random_probes(5, 40, stream(43, "blocks"))
+        whole = overlap_matrix(samples, 3)
+        assert np.array_equal(whole, oracle_overlap_matrix(samples.probes, 3))
+        monkeypatch.setattr(analysis, "_CHUNK_BYTES", cap)
+        assert overlap_matrix(samples, 3).tobytes() == whole.tobytes()
 
     @settings(deadline=None)
     @given(overlap_case())

@@ -165,6 +165,15 @@ class TestFigureCommand:
         assert (config.realizations, config.grid, config.n_probes) == (2, (50, 100), 40)
         assert config.pairs == ((0, 1), (6, 7))
 
+    @pytest.mark.parametrize("command", [["figure", "1"], ["sweep", *TINY]])
+    def test_bad_jobs_leaves_existing_outputs(self, tmp_path, command):
+        out, plot = tmp_path / "f.csv", tmp_path / "f.dat"
+        out.write_text("csv sentinel\n")
+        plot.write_text("dat sentinel\n")
+        assert main([*command, "--jobs", "0", "--out", str(out)]) == 1
+        assert out.read_text() == "csv sentinel\n"
+        assert plot.read_text() == "dat sentinel\n"
+
     def test_missing_config_file_exits_2(self, tmp_path):
         args = ["figure", "1", "--config", str(tmp_path / "absent.cfg")]
         assert main(args + ["--out", str(tmp_path / "x.csv")]) == 2

@@ -174,7 +174,6 @@ class TestRowCorrelation:
         result = row_correlation(data)
         c = np.asarray(result)
         assert result.degenerate_rows == (1,)
-        assert result.has_degenerate_rows
         assert np.all(c[1, :] == 0.0)
         assert np.all(c[:, 1] == 0.0)
         assert c[0, 0] == 1.0 and c[2, 2] == 1.0
@@ -183,6 +182,16 @@ class TestRowCorrelation:
     def test_rejects_single_column(self):
         with pytest.raises(ValueError):
             row_correlation([[1.0], [2.0]])
+
+    def test_array_copy_leaves_the_frozen_values_alone(self):
+        result = row_correlation(np.random.default_rng(37).normal(size=(3, 6)))
+        before = result.values.copy()
+        copied = np.array(result)
+        copied[0, 1] = 99.0
+        assert np.array_equal(result.values, before)
+        # asarray still shares memory, so predict_matrix copies nothing
+        assert np.shares_memory(np.asarray(result), result.values)
+        assert np.shares_memory(np.asarray(result, dtype=float), result.values)
 
 
 class TestPredict:

@@ -3,24 +3,24 @@
 import numpy as np
 import pytest
 
-from corrclass.rng import derive_seed, splitmix64, stream
+from corrclass.rng import _splitmix64, derive_seed, stream
 
 
 def test_splitmix64_matches_published_first_outputs():
     # first output of the reference SplitMix64 stream for seed 0
-    assert splitmix64(0) == 0xE220A8397B1DCDAF
-    assert splitmix64(1) == 0x910A2DEC89025CC1
+    assert _splitmix64(0) == 0xE220A8397B1DCDAF
+    assert _splitmix64(1) == 0x910A2DEC89025CC1
 
 
 def test_splitmix64_stays_in_64_bits():
     rng = np.random.default_rng(0)
     for _ in range(1000):
         value = int(rng.integers(0, 1 << 63)) * 2 + int(rng.integers(0, 2))
-        assert 0 <= splitmix64(value) < 1 << 64
+        assert 0 <= _splitmix64(value) < 1 << 64
 
 
 def test_splitmix64_no_collisions_on_consecutive_inputs():
-    outputs = {splitmix64(i) for i in range(200_000)}
+    outputs = {_splitmix64(i) for i in range(200_000)}
     assert len(outputs) == 200_000
 
 

@@ -68,10 +68,17 @@ class TestSweepConfig:
             tiny_config(grid=(12, 8))
         with pytest.raises(ValueError, match="increasing"):
             tiny_config(grid=(8, 8))
+        # floats are rejected, not truncated to (50, 100)
+        with pytest.raises(ValueError, match="grid"):
+            tiny_config(grid=(50.9, 100.2))
+        assert tiny_config(grid=np.array([8, 12])).grid == (8, 12)
 
     def test_rejects_bad_realizations(self):
         with pytest.raises(ValueError, match="realizations"):
             tiny_config(realizations=0)
+        with pytest.raises(ValueError, match="realizations"):
+            tiny_config(realizations=2.5)
+        assert tiny_config(realizations=np.int64(2)).realizations == 2
 
     def test_rejects_bad_pairs(self):
         with pytest.raises(ValueError, match="pairs"):
@@ -80,6 +87,9 @@ class TestSweepConfig:
             tiny_config(pairs=((0, 8),))
         with pytest.raises(ValueError, match="differ"):
             tiny_config(pairs=((3, 3),))
+        with pytest.raises(ValueError, match="pairs"):
+            tiny_config(pairs=((0.5, 1),))
+        assert tiny_config(pairs=((np.int64(0), 1),)).pairs == ((0, 1),)
         for pairs in (((0, 1), (0, 1)), ((0, 1), (1, 0))):
             with pytest.raises(ValueError, match="distinct"):
                 tiny_config(pairs=pairs)
@@ -93,6 +103,10 @@ class TestSweepConfig:
             tiny_config(n_probes=None)
         with pytest.raises(ValueError, match="probe_length"):
             tiny_config(probe_length=0)
+        with pytest.raises(ValueError, match="n_probes"):
+            tiny_config(n_probes=25.0)
+        # numpy integers are accepted, as ModelConfig accepts them
+        assert tiny_config(n_probes=np.int64(10)).n_probes == 10
 
     def test_every_grid_point_is_validated_up_front(self):
         with pytest.raises(ValueError, match="at least 6"):
