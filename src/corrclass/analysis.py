@@ -46,14 +46,10 @@ def sample_correlation(match) -> CorrelationMatrix:
     mean, so this is the same operation the linear model applies to
     opinion rows.
     """
-    values = np.asarray(match, dtype=float)
-    if values.ndim != 2:
-        raise ValueError(f"match matrix must be 2-D, got shape {values.shape}")
-    if values.shape[0] < 2:
-        raise ValueError(f"need at least 2 samples, got {values.shape[0]}")
-    if values.shape[1] < 2:
-        raise ValueError(f"need at least 2 probes, got {values.shape[1]}")
-    return row_correlation(values)
+    correlation = row_correlation(match)
+    if len(correlation.values) < 2:
+        raise ValueError(f"need at least 2 samples, got {len(correlation.values)}")
+    return correlation
 
 
 def overlap_matrix(samples, k: int) -> np.ndarray:
@@ -66,18 +62,19 @@ def overlap_matrix(samples, k: int) -> np.ndarray:
     """
     codes = _codes(samples)
     windows = _window_count(codes.shape[1], k)
-    keys = np.ascontiguousarray(sliding_window_view(codes, k, axis=1)).view(f"V{k}")
-    _, key_ids = np.unique(keys.ravel(), return_inverse=True)
-    n_samples, n_keys = len(codes), key_ids.max() + 1
-    rows = np.arange(n_samples).repeat(windows)
-    # float64 presence columns of key-id blocks within _CHUNK_BYTES: integer
-    # counts below 2**53 are exact in BLAS's float64, so any blocking sums alike
+    keys = np.ascontiguousarray(sliding_window_view(codes, k, axis=1)).view(f"V{k}").ravel()
+    order = np.argsort(keys)
+    keys, rows = keys[order], order // windows
+    key_ids = np.concatenate(([0], np.cumsum(keys[1:] != keys[:-1])))
+    n_samples, n_keys = len(codes), key_ids[-1] + 1
+    # float64 presence columns of runs of sorted key ids within _CHUNK_BYTES:
+    # integer counts below 2**53 are exact in BLAS's float64, so any blocking sums alike
     step = min(n_keys, max(1, _CHUNK_BYTES // (8 * n_samples)))
+    edges = np.searchsorted(key_ids, np.arange(0, n_keys + step, step))
     counts = np.zeros((n_samples, n_samples))
-    for start in range(0, n_keys, step):
-        block = (key_ids >= start) & (key_ids < start + step)
+    for start, lo, hi in zip(range(0, n_keys, step), edges, edges[1:]):
         present = np.zeros((n_samples, step))
-        present[rows[block], key_ids[block] - start] = 1
+        present[rows[lo:hi], key_ids[lo:hi] - start] = 1
         counts += present @ present.T
     return counts / windows
 

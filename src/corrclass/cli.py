@@ -33,6 +33,7 @@ from .sweep import (
     DEFAULT_TRACKED_PAIRS,
     SWEEP_VARIABLES,
     SweepConfig,
+    _check_jobs,
     figure_preset,
     run_realization,
     run_sweep,
@@ -181,9 +182,8 @@ def _plot_path(csv_path: str) -> str:
 
 
 def _run_and_write(config: SweepConfig, out: str, jobs: int) -> int:
-    # run_sweep checks jobs too late: opening the sinks truncates old outputs
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
+    # before the sinks: opening them truncates old outputs
+    _check_jobs(jobs)
     # open both sinks before the sweep so a bad path fails in milliseconds
     with open(out, "w", encoding="ascii", newline="") as csv_handle:
         with open(_plot_path(out), "w", encoding="ascii", newline="") as plot_handle:

@@ -130,7 +130,8 @@ class CorrelationMatrix:
     degenerate_rows: tuple[int, ...] = ()
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self.values, dtype=dtype, copy=copy)
+        # numpy 1.x passes no copy and copies np.array's result itself
+        return (np.array if copy else np.asarray)(self.values, dtype=dtype)
 
 
 def row_correlation(matrix) -> CorrelationMatrix:

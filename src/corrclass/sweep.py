@@ -127,11 +127,12 @@ class SweepConfig:
         for name in ("sample_length", "n_probes", "probe_length"):
             if name == swept_field:
                 continue
-            value = getattr(self, name)
-            if value is None:
+            if getattr(self, name) is None:
                 raise ValueError(f"{name} must be set when sweeping {self.swept}")
-            if _as_int(name, value) < 1:
-                raise ValueError(f"{name} must be a positive int, got {value!r}")
+            value = _as_int(name, getattr(self, name))
+            if value < 1:
+                raise ValueError(f"{name} must be a positive int, got {value}")
+            object.__setattr__(self, name, value)
 
         for value in self.grid:
             w, m, length = self.params_at(value)
@@ -220,6 +221,11 @@ def _realize_task(task) -> tuple[int, int, tuple[float, ...]]:
     )
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
+
+
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Run every (grid point, realization) cell and aggregate.
 
@@ -228,8 +234,7 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     so the output is identical for any ``jobs`` and any completion order.
     ``jobs`` above 1 starts at most ``os.cpu_count()`` worker processes.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
+    _check_jobs(jobs)
     tasks = []
     for grid_index, value in enumerate(config.grid):
         w, m, length = config.params_at(value)

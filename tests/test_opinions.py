@@ -192,6 +192,9 @@ class TestRowCorrelation:
         # asarray still shares memory, so predict_matrix copies nothing
         assert np.shares_memory(np.asarray(result), result.values)
         assert np.shares_memory(np.asarray(result, dtype=float), result.values)
+        # numpy 1.x calls __array__ without a copy argument
+        assert np.shares_memory(result.__array__(), result.values)
+        assert np.shares_memory(result.__array__(float), result.values)
 
 
 class TestPredict:

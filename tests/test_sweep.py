@@ -105,8 +105,9 @@ class TestSweepConfig:
             tiny_config(probe_length=0)
         with pytest.raises(ValueError, match="n_probes"):
             tiny_config(n_probes=25.0)
-        # numpy integers are accepted, as ModelConfig accepts them
-        assert tiny_config(n_probes=np.int64(10)).n_probes == 10
+        # numpy integers are accepted, as ModelConfig accepts them, and stored as int
+        n_probes = tiny_config(n_probes=np.int64(10)).n_probes
+        assert n_probes == 10 and type(n_probes) is int
 
     def test_every_grid_point_is_validated_up_front(self):
         with pytest.raises(ValueError, match="at least 6"):
