@@ -48,7 +48,6 @@ from .sweep import (
     FIGURE_PRESETS,
     SweepConfig,
     SweepResult,
-    SweepRow,
     figure_preset,
     run_realization,
     run_sweep,
@@ -71,7 +70,6 @@ __all__ = [
     "SimilarityReport",
     "SweepConfig",
     "SweepResult",
-    "SweepRow",
     "choose_k",
     "derive_seed",
     "empirical_error",

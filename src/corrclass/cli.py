@@ -10,7 +10,6 @@ error.  Every subcommand is deterministic given its flags and --seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -30,18 +29,18 @@ from .rng import stream
 from .sequences import reference_family
 from .sweep import (
     _FIXED_FIELD,
-    DEFAULT_TRACKED_PAIRS,
+    FIGURE_PRESETS,
     SWEEP_VARIABLES,
     SweepConfig,
     _check_jobs,
-    figure_preset,
+    _write_lines,
     run_realization,
     run_sweep,
     write_plot_table,
     write_sweep_csv,
 )
 
-__all__ = ["main", "run", "read_config", "apply_overrides"]
+__all__ = ["main", "run", "read_config"]
 
 _CONFIG_KEYS = ("realizations", "grid", "m", "l", "w", "pairs")
 _JOBS_HELP = "worker processes, at most the CPU count (default 1)"
@@ -69,12 +68,9 @@ def _u64(text: str) -> int:
 def _parse_grid(text: str) -> tuple[int, ...]:
     tokens = [tok for tok in text.replace(" ", "").split(",") if tok]
     try:
-        values = tuple(int(tok) for tok in tokens)
+        return tuple(int(tok) for tok in tokens)
     except ValueError:
         raise ValueError(f"grid must be comma-separated integers, got {text!r}") from None
-    if not values:
-        raise ValueError("grid must be nonempty")
-    return values
 
 
 def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
@@ -83,15 +79,14 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
         if not token:
             continue
         left, sep, right = token.partition("-")
-        if not sep or not left.isdigit() or not right.isdigit():
+        if not sep or not left.isdecimal() or not right.isdecimal():
             raise ValueError(f"pairs must look like '0-1,6-7', got {token!r}")
         pairs.append((int(left), int(right)))
-    if not pairs:
-        raise ValueError("pairs must be nonempty")
     return tuple(pairs)
 
 
 def _parse_fixed(items) -> dict[str, int]:
+    """``--fixed KEY=VALUE`` tokens as SweepConfig fields."""
     out: dict[str, int] = {}
     for item in items or []:
         for token in item.split(","):
@@ -104,19 +99,18 @@ def _parse_fixed(items) -> dict[str, int]:
             key = key.strip().upper()
             if key not in SWEEP_VARIABLES:
                 raise ValueError(f"--fixed key must be one of {SWEEP_VARIABLES}, got {key!r}")
-            if key in out:
+            name = _FIXED_FIELD[key]
+            if name in out:
                 raise ValueError(f"--fixed sets {key} twice")
-            try:
-                out[key] = int(value.strip())
-            except ValueError:
-                raise ValueError(
-                    f"--fixed value for {key} must be an integer, got {value.strip()!r}"
-                ) from None
+            out[name] = _config_value(key.lower(), value.strip())
     return out
 
 
 def _config_value(key: str, value: str):
-    """A config value converted by key: a grid, pairs or an integer."""
+    """A sweep setting converted by its config key: a grid, pairs or an integer.
+
+    Only the syntax is checked here; ``SweepConfig`` owns every other check.
+    """
     if key == "grid":
         return _parse_grid(value)
     if key == "pairs":
@@ -130,7 +124,8 @@ def _config_value(key: str, value: str):
 def read_config(path) -> dict:
     """Parse a flat ``key = value`` override file with ``#`` comments.
 
-    Values are converted here, so a bad one is reported with its
+    Returns SweepConfig fields (``w``, ``m`` and ``l`` under their field
+    names).  Values are converted here, so a bad one is reported with its
     ``path:lineno``.
     """
     entries = {}
@@ -147,33 +142,10 @@ def read_config(path) -> dict:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                entries[key] = _config_value(key, value)
+                entries[_FIXED_FIELD.get(key.upper(), key)] = _config_value(key, value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return entries
-
-
-def apply_overrides(config: SweepConfig, entries: dict) -> SweepConfig:
-    """Rebuild a SweepConfig with config-file overrides applied.
-
-    Values may be converted already, as ``read_config`` returns them, or
-    still be strings.  Setting the swept variable's own fixed value is a
-    contradiction and is rejected.
-    """
-    updates = {}
-    for key, value in entries.items():
-        if isinstance(value, str):
-            value = _config_value(key, value)
-        if key in ("grid", "pairs", "realizations"):
-            updates[key] = value
-        else:
-            variable = key.upper()
-            if variable == config.swept:
-                raise ValueError(
-                    f"config key {key!r} conflicts with the swept variable {config.swept}"
-                )
-            updates[_FIXED_FIELD[variable]] = value
-    return dataclasses.replace(config, **updates)
 
 
 def _plot_path(csv_path: str) -> str:
@@ -181,50 +153,46 @@ def _plot_path(csv_path: str) -> str:
     return root + ".dat" if ext.lower() == ".csv" else csv_path + ".dat"
 
 
-def _run_and_write(config: SweepConfig, out: str, jobs: int) -> int:
+def _run_and_write(fields: dict, args, default_out: str) -> int:
+    """Merge the config file over ``fields``, build the one SweepConfig, run it."""
+    if args.config:
+        fields.update(read_config(args.config))
+    config = SweepConfig(**fields)
     # before the sinks: opening them truncates old outputs
-    _check_jobs(jobs)
+    _check_jobs(args.jobs)
+    out = args.out or default_out
     # open both sinks before the sweep so a bad path fails in milliseconds
     with open(out, "w", encoding="ascii", newline="") as csv_handle:
         with open(_plot_path(out), "w", encoding="ascii", newline="") as plot_handle:
-            result = run_sweep(config, jobs=jobs)
+            result = run_sweep(config, jobs=args.jobs)
             write_sweep_csv(result, csv_handle)
             write_plot_table(result, plot_handle)
     return 0
 
 
 def _cmd_figure(args) -> int:
-    config = figure_preset(args.which, base_seed=args.seed)
-    if args.config:
-        config = apply_overrides(config, read_config(args.config))
-    return _run_and_write(config, args.out or f"figure{args.which}.csv", args.jobs)
+    fields = dict(FIGURE_PRESETS[args.which], base_seed=args.seed)
+    return _run_and_write(fields, args, f"figure{args.which}.csv")
 
 
 def _cmd_sweep(args) -> int:
-    fixed = _parse_fixed(args.fixed)
-    if args.var in fixed:
-        raise ValueError(f"--fixed must not set the swept variable {args.var}")
-    config = SweepConfig(
-        swept=args.var,
-        grid=_parse_grid(args.grid),
-        realizations=args.realizations,
-        base_seed=args.seed,
-        sample_length=fixed.get("W"),
-        n_probes=fixed.get("M"),
-        probe_length=fixed.get("L"),
-        pairs=_parse_pairs(args.pairs) if args.pairs else DEFAULT_TRACKED_PAIRS,
-    )
-    if args.config:
-        config = apply_overrides(config, read_config(args.config))
-    return _run_and_write(config, args.out or "sweep.csv", args.jobs)
+    fields = {
+        "swept": args.var,
+        "grid": _config_value("grid", args.grid),
+        "realizations": _config_value("realizations", args.realizations),
+        "base_seed": args.seed,
+        **_parse_fixed(args.fixed),
+    }
+    if args.pairs is not None:
+        fields["pairs"] = _config_value("pairs", args.pairs)
+    return _run_and_write(fields, args, "sweep.csv")
 
 
 def _write_matrix_csv(matrix, path: str) -> None:
     lines = ["," + ",".join(str(j) for j in range(matrix.shape[1]))]
     for i in range(matrix.shape[0]):
         lines.append(str(i) + "," + ",".join(format(v, ".6g") for v in matrix[i]))
-    with open(path, "w", encoding="ascii", newline="") as handle:
-        handle.writelines(line + "\n" for line in lines)
+    _write_lines(lines, path)
 
 
 def _cmd_matrices(args) -> int:
@@ -288,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--var", required=True, choices=SWEEP_VARIABLES)
     sweep.add_argument("--grid", required=True, help="comma-separated grid values")
     sweep.add_argument("--fixed", action="append", help="KEY=VALUE for the held variables")
-    sweep.add_argument("--realizations", type=int, default=40)
+    sweep.add_argument("--realizations", default="40")
     sweep.add_argument("--pairs", help="tracked pairs, e.g. 0-1,0-4,6-7")
     sweep.add_argument("--out", help="CSV path (default sweep.csv); .dat written alongside")
     sweep.add_argument("--config", help="key = value override file")

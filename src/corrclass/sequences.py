@@ -167,19 +167,19 @@ class ReferenceFamily(ProbeSet):
     code array; ``seqs`` names ``probes``.
     """
 
-    __slots__ = ("gene_length",)
+    __slots__ = ()
 
-    def __init__(self, seqs, gene_length: int) -> None:
+    def __init__(self, seqs) -> None:
         super().__init__(seqs)
         if len(self) != FAMILY_SIZE:
             raise ValueError(f"a reference family has {FAMILY_SIZE} sequences, got {len(self)}")
-        if gene_length != self.length // 3:
-            raise ValueError(
-                f"gene_length must be sample_length // 3 = {self.length // 3}, got {gene_length}"
-            )
-        self.gene_length = gene_length
 
     seqs = ProbeSet.probes
+
+    @property
+    def gene_length(self) -> int:
+        """Length of the block that 6 and 7 share: a third of the sample length."""
+        return self.length // 3
 
 
 def _mutate_center(codes: np.ndarray, rng: np.random.Generator) -> None:
@@ -218,7 +218,7 @@ def reference_family(sample_length: int, rng: np.random.Generator) -> ReferenceF
     codes[6] = draw(w)
     codes[7] = draw(w)
     codes[6, :gene_length] = codes[7, w - gene_length :] = draw(gene_length)
-    return ReferenceFamily(codes, gene_length)
+    return ReferenceFamily(codes)
 
 
 def _codes(seqs) -> np.ndarray:

@@ -27,7 +27,6 @@ __all__ = [
     "CSV_HEADER",
     "FIGURE_PRESETS",
     "SweepConfig",
-    "SweepRow",
     "SweepResult",
     "run_realization",
     "run_sweep",
@@ -123,7 +122,7 @@ class SweepConfig:
 
         swept_field = _FIXED_FIELD[self.swept]
         if getattr(self, swept_field) is not None:
-            raise ValueError(f"{swept_field} is swept and must be None")
+            raise ValueError(f"{swept_field} ({self.swept}) is swept and must not be set")
         for name in ("sample_length", "n_probes", "probe_length"):
             if name == swept_field:
                 continue
@@ -159,26 +158,14 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One aggregated line: a grid value, a pair, and its error statistics."""
-
-    sweep_var: str
-    value: int
-    pair: tuple[int, int]
-    mean_error: float
-    std_error: float
-    realizations: int
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    """Aggregated rows plus the raw per-realization errors behind them.
+    """The per-realization errors of a sweep, the one source of its aggregates.
 
-    ``errors`` has shape (len(grid), realizations, len(pairs)).
+    ``errors`` has shape (len(grid), realizations, len(pairs)); ``series``
+    and the written rows take their means and deviations from it.
     """
 
     config: SweepConfig
-    rows: tuple[SweepRow, ...]
     errors: np.ndarray = field(repr=False)
 
     def series(self, pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -252,23 +239,7 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
             outcomes = list(pool.map(_realize_task, tasks, chunksize=8))
     for grid_index, realization_index, pair_errors in outcomes:
         errors[grid_index, realization_index, :] = pair_errors
-
-    rows = []
-    means, stds = _statistics(errors)
-    for grid_index, value in enumerate(config.grid):
-        for col, pair in enumerate(config.pairs):
-            rows.append(
-                SweepRow(
-                    sweep_var=config.swept,
-                    value=value,
-                    pair=pair,
-                    mean_error=float(means[grid_index, col]),
-                    std_error=float(stds[grid_index, col]),
-                    realizations=config.realizations,
-                )
-            )
-    rows.sort(key=lambda row: (row.value, row.pair))
-    return SweepResult(config=config, rows=tuple(rows), errors=errors)
+    return SweepResult(config=config, errors=errors)
 
 
 def figure_preset(
@@ -289,15 +260,21 @@ def _format_float(x: float) -> str:
     return format(x, ".6g")
 
 
-def _row_fields(row: SweepRow) -> tuple[str, ...]:
-    return (
-        row.sweep_var,
-        str(row.value),
-        format_pair(row.pair),
-        _format_float(row.mean_error),
-        _format_float(row.std_error),
-        str(row.realizations),
-    )
+def _row_fields(result: SweepResult):
+    """Each row's formatted fields, in (grid value, pair) order."""
+    config = result.config
+    means, stds = _statistics(result.errors)
+    columns = sorted(range(len(config.pairs)), key=config.pairs.__getitem__)
+    for grid_index, value in enumerate(config.grid):
+        for col in columns:
+            yield (
+                config.swept,
+                str(value),
+                format_pair(config.pairs[col]),
+                _format_float(means[grid_index, col]),
+                _format_float(stds[grid_index, col]),
+                str(config.realizations),
+            )
 
 
 def _write_lines(lines, target) -> None:
@@ -311,12 +288,12 @@ def _write_lines(lines, target) -> None:
 def write_sweep_csv(result: SweepResult, target) -> None:
     """Aggregated rows as CSV, floats at 6 significant digits."""
     lines = [CSV_HEADER]
-    lines.extend(",".join(_row_fields(row)) for row in result.rows)
+    lines.extend(map(",".join, _row_fields(result)))
     _write_lines(lines, target)
 
 
 def write_plot_table(result: SweepResult, target) -> None:
     """Same rows as the CSV, whitespace-separated with a commented header."""
     lines = ["# " + " ".join(CSV_HEADER.split(","))]
-    lines.extend(" ".join(_row_fields(row)) for row in result.rows)
+    lines.extend(map(" ".join, _row_fields(result)))
     _write_lines(lines, target)

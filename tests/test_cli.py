@@ -5,12 +5,11 @@ import re
 
 import pytest
 
-from corrclass.cli import apply_overrides, main
+from corrclass.cli import main
 from corrclass.fasta import read_fasta
 from corrclass.sweep import (
     CSV_HEADER,
     SweepConfig,
-    figure_preset,
     run_realization,
     run_sweep,
     write_plot_table,
@@ -18,6 +17,9 @@ from corrclass.sweep import (
 )
 
 TINY = ["--var", "W", "--grid", "8,12", "--fixed", "M=25,L=4", "--realizations", "2"]
+TINY_CONFIG = dict(swept="W", grid=(8, 12), realizations=2, n_probes=25, probe_length=4)
+# the one message for setting the swept variable, from flags or a config file
+SWEPT_CLASH = "sample_length (W) is swept and must not be set"
 
 
 def render_csv(config):
@@ -41,13 +43,40 @@ class TestSweepCommand:
     def test_matches_library_output(self, tmp_path):
         out = tmp_path / "cli.csv"
         assert main(["sweep", *TINY, "--seed", "9", "--out", str(out)]) == 0
-        config = SweepConfig(
-            swept="W", grid=(8, 12), realizations=2, base_seed=9, n_probes=25, probe_length=4
-        )
+        config = SweepConfig(**TINY_CONFIG, base_seed=9)
         assert out.read_text() == render_csv(config)
         dat = io.StringIO()
         write_plot_table(run_sweep(config), dat)
         assert (tmp_path / "cli.dat").read_text() == dat.getvalue()
+
+    def test_config_supplies_a_held_value_and_wins_over_flags(self, tmp_path):
+        cfg = tmp_path / "l.cfg"
+        cfg.write_text("l = 4\nrealizations = 2\n")
+        out = tmp_path / "cli.csv"
+        argv = ["sweep", "--var", "W", "--grid", "8,12", "--fixed", "M=25", "--realizations", "5"]
+        assert main([*argv, "--seed", "9", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_text() == render_csv(SweepConfig(**TINY_CONFIG, base_seed=9))
+
+    def test_config_cannot_set_the_swept_variable(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("w = 100\n")
+        argv = ["sweep", *TINY, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 1
+        assert SWEPT_CLASH in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--fixed", "W=30"], SWEPT_CLASH),
+            (["--grid", ","], "grid must be nonempty"),
+            (["--pairs", ","], "pairs must be nonempty"),
+            (["--pairs", ""], "pairs must be nonempty"),
+            (["--pairs", "\u00b2-1"], "pairs must look like '0-1,6-7', got '\u00b2-1'"),
+        ],
+    )
+    def test_flag_errors_name_the_setting(self, extra, message, tmp_path, capsys):
+        assert main(["sweep", *TINY, *extra, "--out", str(tmp_path / "x.csv")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_non_csv_out_gains_dat_suffix(self, tmp_path):
         out = tmp_path / "results.txt"
@@ -129,7 +158,7 @@ class TestFigureCommand:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("w = 100\n")
         assert main(["figure", "1", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
-        assert "swept" in capsys.readouterr().err
+        assert SWEPT_CLASH in capsys.readouterr().err
 
     def test_malformed_config_line_reports_location(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -158,12 +187,6 @@ class TestFigureCommand:
         cfg.write_text(f"{line}\n")
         assert main(["figure", "1", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
         assert f"{cfg}:1: {message}" in capsys.readouterr().err
-
-    def test_overrides_accept_a_dict_of_strings(self):
-        entries = {"realizations": "2", "grid": "50, 100", "m": "40", "pairs": "0-1,6-7"}
-        config = apply_overrides(figure_preset(1), entries)
-        assert (config.realizations, config.grid, config.n_probes) == (2, (50, 100), 40)
-        assert config.pairs == ((0, 1), (6, 7))
 
     @pytest.mark.parametrize("command", [["figure", "1"], ["sweep", *TINY]])
     def test_bad_jobs_leaves_existing_outputs(self, tmp_path, command):

@@ -170,9 +170,7 @@ class TestReferenceFamily:
         family = reference_family(12, stream(1, "family"))
         for seqs in (family.seqs, np.array(family.codes)):
             with pytest.raises(ValueError):
-                ReferenceFamily(seqs=seqs[:7], gene_length=4)
-            with pytest.raises(ValueError):
-                ReferenceFamily(seqs=seqs, gene_length=3)
+                ReferenceFamily(seqs=seqs[:7])
 
     def test_family_is_pinned_to_its_stream(self):
         pinned = (
@@ -188,8 +186,9 @@ class TestReferenceFamily:
         family = reference_family(12, stream(3, "family"))
         assert family.seqs == pinned
         codes = np.array([[ALPHABET.index(base) for base in seq] for seq in pinned])
-        from_codes = ReferenceFamily(seqs=codes, gene_length=4)
-        assert ReferenceFamily(seqs=pinned, gene_length=4) == from_codes == family
+        from_codes = ReferenceFamily(seqs=codes)
+        assert ReferenceFamily(seqs=pinned) == from_codes == family
+        assert from_codes.gene_length == 4
         assert family == ProbeSet(pinned)
         assert from_codes.seqs == pinned
 

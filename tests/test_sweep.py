@@ -16,7 +16,6 @@ from corrclass.sweep import (
     FIGURE_PRESETS,
     SweepConfig,
     SweepResult,
-    SweepRow,
     figure_preset,
     format_pair,
     run_realization,
@@ -155,27 +154,42 @@ def tiny_result():
     return run_sweep(tiny_config())
 
 
+def csv_rows(result):
+    """The written CSV rows, split into fields, without the header."""
+    buffer = io.StringIO()
+    write_sweep_csv(result, buffer)
+    return [line.split(",") for line in buffer.getvalue().splitlines()[1:]]
+
+
 class TestRunSweep:
     def test_row_grid_and_shape(self, tiny_result):
         config = tiny_result.config
         assert tiny_result.errors.shape == (2, 3, len(DEFAULT_TRACKED_PAIRS))
-        assert len(tiny_result.rows) == 2 * len(DEFAULT_TRACKED_PAIRS)
+        rows = csv_rows(tiny_result)
+        assert len(rows) == 2 * len(DEFAULT_TRACKED_PAIRS)
         expected_order = [
-            (value, pair) for value in config.grid for pair in sorted(config.pairs)
+            (str(value), format_pair(pair))
+            for value in config.grid
+            for pair in sorted(config.pairs)
         ]
-        assert [(row.value, row.pair) for row in tiny_result.rows] == expected_order
-        assert all(row.sweep_var == "W" for row in tiny_result.rows)
-        assert all(row.realizations == 3 for row in tiny_result.rows)
+        assert [(row[1], row[2]) for row in rows] == expected_order
+        assert all(row[0] == "W" for row in rows)
+        assert all(row[5] == "3" for row in rows)
 
     def test_rows_match_retained_errors(self, tiny_result):
         config = tiny_result.config
-        for row in tiny_result.rows:
-            grid_index = config.grid.index(row.value)
-            col = config.pairs.index(row.pair)
-            cell = tiny_result.errors[grid_index, :, col]
-            assert row.mean_error == cell.mean()
-            assert row.mean_error == pytest.approx(math.fsum(cell) / len(cell), abs=1e-12)
-            assert row.std_error == pytest.approx(cell.std(ddof=1), abs=1e-12)
+        written = {(row[1], row[2]): row[3:5] for row in csv_rows(tiny_result)}
+        for col, pair in enumerate(config.pairs):
+            _, means, stds = tiny_result.series(pair)
+            for grid_index, value in enumerate(config.grid):
+                cell = tiny_result.errors[grid_index, :, col]
+                assert means[grid_index] == cell.mean()
+                assert means[grid_index] == pytest.approx(math.fsum(cell) / len(cell), abs=1e-12)
+                assert stds[grid_index] == pytest.approx(cell.std(ddof=1), abs=1e-12)
+                assert written[str(value), format_pair(pair)] == [
+                    format(means[grid_index], ".6g"),
+                    format(stds[grid_index], ".6g"),
+                ]
 
     def test_cells_match_independent_realizations(self, tiny_result):
         config = tiny_result.config
@@ -189,20 +203,17 @@ class TestRunSweep:
 
     def test_single_realization_has_zero_std(self):
         result = run_sweep(tiny_config(realizations=1))
-        assert all(row.std_error == 0.0 for row in result.rows)
+        for pair in result.config.pairs:
+            assert np.all(result.series(pair)[2] == 0.0)
+        assert all(row[4] == "0" for row in csv_rows(result))
         seed = derive_seed(9, 8, 0)
         report = run_realization(8, 25, 4, seed=seed)
-        assert result.rows[0].pair == (0, 1)
-        assert result.rows[0].mean_error == report.error[0, 1]
+        assert result.series((0, 1))[1][0] == report.error[0, 1]
 
     def test_worker_count_does_not_change_results(self, tiny_result):
         pooled = run_sweep(tiny_config(), jobs=2)
         assert np.array_equal(pooled.errors, tiny_result.errors)
-        assert pooled.rows == tiny_result.rows
-        serial_csv, pooled_csv = io.StringIO(), io.StringIO()
-        write_sweep_csv(tiny_result, serial_csv)
-        write_sweep_csv(pooled, pooled_csv)
-        assert serial_csv.getvalue() == pooled_csv.getvalue()
+        assert csv_rows(pooled) == csv_rows(tiny_result)
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -236,13 +247,9 @@ class TestRunSweep:
     def test_series_accessor(self, tiny_result):
         values, means, stds = tiny_result.series((0, 4))
         assert np.array_equal(values, np.array([8.0, 12.0]))
-        by_row = {
-            row.value: (row.mean_error, row.std_error)
-            for row in tiny_result.rows
-            if row.pair == (0, 4)
-        }
+        by_row = {row[1]: row[3:5] for row in csv_rows(tiny_result) if row[2] == "0-4"}
         for value, mean, std in zip(values, means, stds):
-            assert (mean, std) == pytest.approx(by_row[int(value)], abs=1e-12)
+            assert by_row[str(int(value))] == [format(mean, ".6g"), format(std, ".6g")]
         with pytest.raises(ValueError, match="not tracked"):
             tiny_result.series((1, 2))
 
@@ -277,14 +284,14 @@ class TestSerialization:
         write_sweep_csv(tiny_result, path)
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
-        assert len(lines) == 1 + len(tiny_result.rows)
+        assert len(lines) == 1 + 2 * len(DEFAULT_TRACKED_PAIRS)
         first = lines[1].split(",")
-        row = tiny_result.rows[0]
+        _, means, stds = tiny_result.series((0, 1))
         assert first[0] == "W"
-        assert first[1] == str(row.value)
-        assert first[2] == format_pair(row.pair)
-        assert first[3] == format(row.mean_error, ".6g")
-        assert first[4] == format(row.std_error, ".6g")
+        assert first[1] == "8"
+        assert first[2] == "0-1"
+        assert first[3] == format(means[0], ".6g")
+        assert first[4] == format(stds[0], ".6g")
         assert first[5] == "3"
 
     def test_csv_handle_matches_path(self, tiny_result, tmp_path):
@@ -306,16 +313,11 @@ class TestSerialization:
             assert dat_line.split() == csv_line.split(",")
 
     def test_non_finite_values_are_refused(self, tiny_result):
-        bad_row = SweepRow(
-            sweep_var="W",
-            value=8,
-            pair=(0, 1),
-            mean_error=float("inf"),
-            std_error=0.0,
-            realizations=1,
-        )
-        broken = SweepResult(
-            config=tiny_result.config, rows=(bad_row,), errors=np.zeros((1, 1, 1))
-        )
-        with pytest.raises(ValueError, match="non-finite"):
-            write_sweep_csv(broken, io.StringIO())
+        errors = tiny_result.errors.copy()
+        errors[1, 0, 2] = np.inf
+        broken = SweepResult(config=tiny_result.config, errors=errors)
+        for write in (write_sweep_csv, write_plot_table):
+            target = io.StringIO()
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+                write(broken, target)
+            assert target.getvalue() == ""
