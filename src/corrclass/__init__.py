@@ -9,7 +9,6 @@ harness measures how well the recovery works as the geometry varies.
 
 from .analysis import (
     SimilarityReport,
-    overlap_matrix,
     sample_correlation,
     similarity_report,
 )
@@ -39,6 +38,7 @@ from .sequences import (
     max_complementary_match,
     negative_overlap,
     overlap,
+    overlap_matrix,
     random_probes,
     random_sequence,
     reference_family,

@@ -10,15 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .opinions import CorrelationMatrix, row_correlation
-from .sequences import _CHUNK_BYTES, _codes, _window_count, match_matrix
+from .sequences import match_matrix, overlap_matrix
 
 __all__ = [
     "SimilarityReport",
     "sample_correlation",
-    "overlap_matrix",
     "similarity_report",
 ]
 
@@ -50,33 +48,6 @@ def sample_correlation(match) -> CorrelationMatrix:
     if len(correlation.values) < 2:
         raise ValueError(f"need at least 2 samples, got {len(correlation.values)}")
     return correlation
-
-
-def overlap_matrix(samples, k: int) -> np.ndarray:
-    """Pairwise k-mer overlap of the samples.
-
-    Entry (i, j) equals ``overlap(samples[i], samples[j], k)``, counted for
-    every pair at once from one numbering of all samples' k-byte window
-    keys.  Diagonal entries are self-overlaps, which fall below 1 when a
-    sequence repeats one of its length-k windows.
-    """
-    codes = _codes(samples)
-    windows = _window_count(codes.shape[1], k)
-    keys = np.ascontiguousarray(sliding_window_view(codes, k, axis=1)).view(f"V{k}").ravel()
-    order = np.argsort(keys)
-    keys, rows = keys[order], order // windows
-    key_ids = np.concatenate(([0], np.cumsum(keys[1:] != keys[:-1])))
-    n_samples, n_keys = len(codes), key_ids[-1] + 1
-    # float64 presence columns of runs of sorted key ids within _CHUNK_BYTES:
-    # integer counts below 2**53 are exact in BLAS's float64, so any blocking sums alike
-    step = min(n_keys, max(1, _CHUNK_BYTES // (8 * n_samples)))
-    edges = np.searchsorted(key_ids, np.arange(0, n_keys + step, step))
-    counts = np.zeros((n_samples, n_samples))
-    for start, lo, hi in zip(range(0, n_keys, step), edges, edges[1:]):
-        present = np.zeros((n_samples, step))
-        present[rows[lo:hi], key_ids[lo:hi] - start] = 1
-        counts += present @ present.T
-    return counts / windows
 
 
 def similarity_report(samples, probes) -> SimilarityReport:

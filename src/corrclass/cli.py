@@ -43,6 +43,7 @@ from .sweep import (
 __all__ = ["main", "run", "read_config"]
 
 _CONFIG_KEYS = ("realizations", "grid", "m", "l", "w", "pairs")
+_FIXED_KEYS = ("w", "m", "l")
 _JOBS_HELP = "worker processes, at most the CPU count (default 1)"
 
 
@@ -65,12 +66,19 @@ def _u64(text: str) -> int:
     return value
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {text!r}") from None
+
+
 def _parse_grid(text: str) -> tuple[int, ...]:
     tokens = [tok for tok in text.replace(" ", "").split(",") if tok]
     try:
         return tuple(int(tok) for tok in tokens)
     except ValueError:
-        raise ValueError(f"grid must be comma-separated integers, got {text!r}") from None
+        raise ValueError(f"must be comma-separated integers, got {text!r}") from None
 
 
 def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
@@ -80,45 +88,43 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
             continue
         left, sep, right = token.partition("-")
         if not sep or not left.isdecimal() or not right.isdecimal():
-            raise ValueError(f"pairs must look like '0-1,6-7', got {token!r}")
+            raise ValueError(f"must look like '0-1,6-7', got {token!r}")
         pairs.append((int(left), int(right)))
     return tuple(pairs)
 
 
-def _parse_fixed(items) -> dict[str, int]:
-    """``--fixed KEY=VALUE`` tokens as SweepConfig fields."""
-    out: dict[str, int] = {}
-    for item in items or []:
-        for token in item.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            key, sep, value = token.partition("=")
-            if not sep:
-                raise ValueError(f"--fixed expects KEY=VALUE, got {token!r}")
-            key = key.strip().upper()
-            if key not in SWEEP_VARIABLES:
-                raise ValueError(f"--fixed key must be one of {SWEEP_VARIABLES}, got {key!r}")
-            name = _FIXED_FIELD[key]
-            if name in out:
-                raise ValueError(f"--fixed sets {key} twice")
-            out[name] = _config_value(key.lower(), value.strip())
-    return out
+_PARSERS = {"grid": _parse_grid, "pairs": _parse_pairs}
 
 
-def _config_value(key: str, value: str):
-    """A sweep setting converted by its config key: a grid, pairs or an integer.
+def _entry(where: str, text: str) -> tuple[str, str, str]:
+    """Split one ``key = value`` text into a ``(where, key, value)`` entry."""
+    key, sep, value = text.partition("=")
+    if not sep or not key.strip() or not value.strip():
+        raise ValueError(f"{where}: expected 'key = value', got {text.strip()!r}")
+    return where, key, value
 
+
+def _settings(entries, keys=_CONFIG_KEYS) -> dict:
+    """SweepConfig fields from ``(where, key, value)`` text entries.
+
+    ``where`` names the source of an entry, a flag or ``path:lineno``, and
+    prefixes each of its errors.  ``keys`` are the lowercase keys allowed;
+    each may be given once, and W, M and L land under their field names.
     Only the syntax is checked here; ``SweepConfig`` owns every other check.
     """
-    if key == "grid":
-        return _parse_grid(value)
-    if key == "pairs":
-        return _parse_pairs(value)
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"config key {key!r} must be an integer, got {value!r}") from None
+    fields = {}
+    for where, key, value in entries:
+        key = key.strip().lower()
+        if key not in keys:
+            raise ValueError(f"{where}: unknown key {key!r}, expected one of {', '.join(keys)}")
+        name = _FIXED_FIELD.get(key.upper(), key)
+        if name in fields:
+            raise ValueError(f"{where}: {key} is set twice")
+        try:
+            fields[name] = _PARSERS.get(key, _parse_int)(value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{where}: {key} {exc}") from None
+    return fields
 
 
 def read_config(path) -> dict:
@@ -126,26 +132,11 @@ def read_config(path) -> dict:
 
     Returns SweepConfig fields (``w``, ``m`` and ``l`` under their field
     names).  Values are converted here, so a bad one is reported with its
-    ``path:lineno``.
+    ``path:lineno``, and a key set twice is refused.
     """
-    entries = {}
     with open(path, "r", encoding="ascii") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip().lower()
-            value = value.strip()
-            if not sep or not key or not value:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                entries[_FIXED_FIELD.get(key.upper(), key)] = _config_value(key, value)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return entries
+        lines = [(f"{path}:{n}", raw.split("#", 1)[0]) for n, raw in enumerate(handle, 1)]
+    return _settings(_entry(where, line) for where, line in lines if line.strip())
 
 
 def _plot_path(csv_path: str) -> str:
@@ -176,15 +167,13 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    fields = {
-        "swept": args.var,
-        "grid": _config_value("grid", args.grid),
-        "realizations": _config_value("realizations", args.realizations),
-        "base_seed": args.seed,
-        **_parse_fixed(args.fixed),
-    }
+    flags = [("--grid", "grid", args.grid), ("--realizations", "realizations", args.realizations)]
     if args.pairs is not None:
-        fields["pairs"] = _config_value("pairs", args.pairs)
+        flags.append(("--pairs", "pairs", args.pairs))
+    tokens = [token.strip() for item in args.fixed or [] for token in item.split(",")]
+    fixed = (_entry(f"--fixed {token}", token) for token in tokens if token)
+    fields = _settings(flags)
+    fields.update(_settings(fixed, _FIXED_KEYS), swept=args.var, base_seed=args.seed)
     return _run_and_write(fields, args, "sweep.csv")
 
 

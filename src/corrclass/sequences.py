@@ -28,6 +28,7 @@ __all__ = [
     "match_matrix",
     "kmer_set",
     "overlap",
+    "overlap_matrix",
     "negative_overlap",
 ]
 
@@ -42,7 +43,7 @@ for _index, _byte in enumerate(b"ACGT"):
 # one float32 one-hot row per base code
 _ONE_HOT = np.eye(4, dtype=np.float32)
 # cap on one block's scratch: the kernel's float32 probe rows, window rows
-# and product, or the float64 presence columns of analysis.overlap_matrix
+# and product, or the float64 presence columns of overlap_matrix
 _CHUNK_BYTES = 1 << 20
 
 
@@ -306,6 +307,33 @@ def overlap(x: str, y: str, k: int) -> float:
     """
     (x_kmers, y_kmers), windows = _kmer_sets((x, y), k)
     return len(x_kmers & y_kmers) / windows
+
+
+def overlap_matrix(samples, k: int) -> np.ndarray:
+    """Pairwise k-mer overlap of the samples.
+
+    Entry (i, j) equals ``overlap(samples[i], samples[j], k)``, counted for
+    every pair at once from one numbering of all samples' k-byte window
+    keys.  Diagonal entries are self-overlaps, which fall below 1 when a
+    sequence repeats one of its length-k windows.
+    """
+    codes = _codes(samples)
+    windows = _window_count(codes.shape[1], k)
+    keys = np.ascontiguousarray(sliding_window_view(codes, k, axis=1)).view(f"V{k}").ravel()
+    order = np.argsort(keys)
+    keys, rows = keys[order], order // windows
+    key_ids = np.concatenate(([0], np.cumsum(keys[1:] != keys[:-1])))
+    n_samples, n_keys = len(codes), key_ids[-1] + 1
+    # float64 presence columns of runs of sorted key ids within _CHUNK_BYTES:
+    # integer counts below 2**53 are exact in BLAS's float64, so any blocking sums alike
+    step = min(n_keys, max(1, _CHUNK_BYTES // (8 * n_samples)))
+    edges = np.searchsorted(key_ids, np.arange(0, n_keys + step, step))
+    counts = np.zeros((n_samples, n_samples))
+    for start, lo, hi in zip(range(0, n_keys, step), edges, edges[1:]):
+        present = np.zeros((n_samples, step))
+        present[rows[lo:hi], key_ids[lo:hi] - start] = 1
+        counts += present @ present.T
+    return counts / windows
 
 
 def negative_overlap(x: str, y: str, k: int) -> float:

@@ -4,8 +4,9 @@ A sweep varies one of (sample length W, probe count M, probe length L)
 over a grid, holds the other two fixed, and for each grid value runs R
 independent realizations: a fresh reference family plus a fresh probe set,
 reporting the correlation-vs-overlap gap for a handful of tracked sequence
-pairs.  Aggregation is indexed by (grid point, realization), so results do
-not depend on execution order or on how many worker processes ran them.
+pairs.  Cells run in (grid point, realization) order, and each cell's seed
+depends only on its place in the grid, so results do not depend on how
+many worker processes ran them.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -162,11 +164,22 @@ class SweepResult:
     """The per-realization errors of a sweep, the one source of its aggregates.
 
     ``errors`` has shape (len(grid), realizations, len(pairs)); ``series``
-    and the written rows take their means and deviations from it.
+    and the written rows take their means and deviations from it, computed
+    once on first use.
     """
 
     config: SweepConfig
     errors: np.ndarray = field(repr=False)
+
+    @cached_property
+    def _statistics(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and sample standard deviation over realizations (axis 1); 0 for one."""
+        errors = self.errors
+        means = errors.mean(axis=1)
+        stds = errors.std(axis=1, ddof=1) if errors.shape[1] > 1 else np.zeros_like(means)
+        # series hands out views of these, which every later write reads
+        means.flags.writeable = stds.flags.writeable = False
+        return means, stds
 
     def series(self, pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(grid values, mean errors, std errors) for one tracked pair."""
@@ -174,14 +187,8 @@ class SweepResult:
         if pair not in self.config.pairs:
             raise ValueError(f"pair {pair} was not tracked; tracked: {self.config.pairs}")
         col = self.config.pairs.index(pair)
-        return np.asarray(self.config.grid, dtype=float), *_statistics(self.errors[:, :, col])
-
-
-def _statistics(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and sample standard deviation over realizations (axis 1); 0 for one."""
-    means = errors.mean(axis=1)
-    stds = errors.std(axis=1, ddof=1) if errors.shape[1] > 1 else np.zeros_like(means)
-    return means, stds
+        means, stds = self._statistics
+        return np.asarray(self.config.grid, dtype=float), means[:, col], stds[:, col]
 
 
 def run_realization(
@@ -197,15 +204,10 @@ def run_realization(
     return similarity_report(family, probes)
 
 
-def _realize_task(task) -> tuple[int, int, tuple[float, ...]]:
-    """Run one (grid point, realization) cell; module-level for pickling."""
-    grid_index, realization_index, sample_length, n_probes, probe_length, seed, pairs = task
-    report = run_realization(sample_length, n_probes, probe_length, seed)
-    return (
-        grid_index,
-        realization_index,
-        tuple(float(report.error[i, j]) for i, j in pairs),
-    )
+def _pair_errors(pairs: tuple[tuple[int, int], ...], cell: tuple[int, ...]) -> tuple[float, ...]:
+    """The tracked pairs' errors of one (W, M, L, seed) cell; module-level for pickling."""
+    report = run_realization(*cell)
+    return tuple(float(report.error[i, j]) for i, j in pairs)
 
 
 def _check_jobs(jobs: int) -> None:
@@ -217,41 +219,33 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Run every (grid point, realization) cell and aggregate.
 
     The seed of each cell depends only on (base_seed, grid value,
-    realization index), and results land in a preallocated array by index,
-    so the output is identical for any ``jobs`` and any completion order.
-    ``jobs`` above 1 starts at most ``os.cpu_count()`` worker processes.
+    realization index), and ``map`` returns the cells in the order given,
+    so the output is identical for any ``jobs``.  ``jobs`` above 1 starts
+    at most ``os.cpu_count()`` worker processes.
     """
     _check_jobs(jobs)
-    tasks = []
-    for grid_index, value in enumerate(config.grid):
-        w, m, length = config.params_at(value)
-        for realization_index in range(config.realizations):
-            seed = derive_seed(config.base_seed, value, realization_index)
-            tasks.append((grid_index, realization_index, w, m, length, seed, config.pairs))
-
-    errors = np.empty((len(config.grid), config.realizations, len(config.pairs)))
+    cells = [
+        (*config.params_at(value), derive_seed(config.base_seed, value, realization))
+        for value in config.grid
+        for realization in range(config.realizations)
+    ]
+    task = partial(_pair_errors, config.pairs)
     if jobs == 1:
-        outcomes = map(_realize_task, tasks)
+        rows = list(map(task, cells))
     else:
         # real pool even on one CPU so schedule independence is exercised
-        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        workers = min(jobs, len(cells), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_realize_task, tasks, chunksize=8))
-    for grid_index, realization_index, pair_errors in outcomes:
-        errors[grid_index, realization_index, :] = pair_errors
+            rows = list(pool.map(task, cells, chunksize=8))
+    errors = np.array(rows).reshape(len(config.grid), config.realizations, len(config.pairs))
     return SweepResult(config=config, errors=errors)
 
 
-def figure_preset(
-    which: int,
-    base_seed: int = 42,
-    tracked_pairs: tuple[tuple[int, int], ...] = DEFAULT_TRACKED_PAIRS,
-) -> SweepConfig:
+def figure_preset(which: int, base_seed: int = 42) -> SweepConfig:
     """Stock configuration of experiment 1, 2, or 3."""
     if which not in FIGURE_PRESETS:
         raise ValueError(f"figure must be one of {sorted(FIGURE_PRESETS)}, got {which}")
-    preset = FIGURE_PRESETS[which]
-    return SweepConfig(base_seed=base_seed, pairs=tracked_pairs, **preset)
+    return SweepConfig(base_seed=base_seed, **FIGURE_PRESETS[which])
 
 
 def _format_float(x: float) -> str:
@@ -263,7 +257,7 @@ def _format_float(x: float) -> str:
 def _row_fields(result: SweepResult):
     """Each row's formatted fields, in (grid value, pair) order."""
     config = result.config
-    means, stds = _statistics(result.errors)
+    means, stds = result._statistics
     columns = sorted(range(len(config.pairs)), key=config.pairs.__getitem__)
     for grid_index, value in enumerate(config.grid):
         for col in columns:

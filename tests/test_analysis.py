@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corrclass import analysis
+from corrclass import sequences
 from corrclass.analysis import (
     SimilarityReport,
     overlap_matrix,
@@ -119,7 +119,7 @@ class TestOverlapMatrix:
         samples = random_probes(5, 40, stream(43, "blocks"))
         whole = overlap_matrix(samples, 3)
         assert np.array_equal(whole, oracle_overlap_matrix(samples.probes, 3))
-        monkeypatch.setattr(analysis, "_CHUNK_BYTES", cap)
+        monkeypatch.setattr(sequences, "_CHUNK_BYTES", cap)
         assert overlap_matrix(samples, 3).tobytes() == whole.tobytes()
 
     @settings(deadline=None)

@@ -71,12 +71,39 @@ class TestSweepCommand:
             (["--grid", ","], "grid must be nonempty"),
             (["--pairs", ","], "pairs must be nonempty"),
             (["--pairs", ""], "pairs must be nonempty"),
-            (["--pairs", "\u00b2-1"], "pairs must look like '0-1,6-7', got '\u00b2-1'"),
+            (["--pairs", "\u00b2-1"], "--pairs: pairs must look like '0-1,6-7', got '\u00b2-1'"),
         ],
     )
     def test_flag_errors_name_the_setting(self, extra, message, tmp_path, capsys):
         assert main(["sweep", *TINY, *extra, "--out", str(tmp_path / "x.csv")]) == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--grid", "8", "--fixed", "M=x,L=4"], "--fixed M=x: m must be an integer, got 'x'"),
+            (
+                ["--grid", "8", "--fixed", "M=25,L=4", "--realizations", "x"],
+                "--realizations: realizations must be an integer, got 'x'",
+            ),
+            (
+                ["--grid", "1,x", "--fixed", "M=25,L=4"],
+                "--grid: grid must be comma-separated integers, got '1,x'",
+            ),
+            (
+                ["--grid", "8", "--fixed", "M=25", "--fixed", "m=30,L=4"],
+                "--fixed m=30: m is set twice",
+            ),
+            (
+                ["--grid", "8", "--fixed", "M=25,L=4,Q=3"],
+                "--fixed Q=3: unknown key 'q', expected one of w, m, l",
+            ),
+            (["--grid", "8", "--fixed", "M=25,L4"], "--fixed L4: expected 'key = value', got 'L4'"),
+        ],
+    )
+    def test_setting_errors_name_their_flag(self, argv, message, tmp_path, capsys):
+        assert main(["sweep", "--var", "W", *argv, "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_non_csv_out_gains_dat_suffix(self, tmp_path):
         out = tmp_path / "results.txt"
@@ -172,7 +199,7 @@ class TestFigureCommand:
         cfg.write_text(f"# comment\n{line}\n")
         assert main(["figure", "1", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
         key, _, value = line.partition(" = ")
-        expected = f"{cfg}:2: config key {key!r} must be an integer, got {value!r}"
+        expected = f"{cfg}:2: {key} must be an integer, got {value!r}"
         assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -187,6 +214,12 @@ class TestFigureCommand:
         cfg.write_text(f"{line}\n")
         assert main(["figure", "1", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
         assert f"{cfg}:1: {message}" in capsys.readouterr().err
+
+    def test_key_set_twice_in_config_names_the_second_line(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("m = 40\n# again\nM = 50\n")
+        assert main(["figure", "1", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:3: m is set twice\n"
 
     @pytest.mark.parametrize("command", [["figure", "1"], ["sweep", *TINY]])
     def test_bad_jobs_leaves_existing_outputs(self, tmp_path, command):

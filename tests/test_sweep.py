@@ -215,6 +215,12 @@ class TestRunSweep:
         assert np.array_equal(pooled.errors, tiny_result.errors)
         assert csv_rows(pooled) == csv_rows(tiny_result)
 
+    def test_pool_keeps_cell_order_across_chunks(self):
+        # 14 cells span two chunks of 8, so a misordered chunk would show
+        config = tiny_config(realizations=7)
+        pooled = run_sweep(config, jobs=2)
+        assert np.array_equal(pooled.errors, run_sweep(config).errors)
+
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
             run_sweep(tiny_config(), jobs=0)
@@ -247,6 +253,8 @@ class TestRunSweep:
     def test_series_accessor(self, tiny_result):
         values, means, stds = tiny_result.series((0, 4))
         assert np.array_equal(values, np.array([8.0, 12.0]))
+        # views of the statistics every later write reads
+        assert not means.flags.writeable and not stds.flags.writeable
         by_row = {row[1]: row[3:5] for row in csv_rows(tiny_result) if row[2] == "0-4"}
         for value, mean, std in zip(values, means, stds):
             assert by_row[str(int(value))] == [format(mean, ".6g"), format(std, ".6g")]
