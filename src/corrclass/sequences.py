@@ -309,17 +309,41 @@ def overlap(x: str, y: str, k: int) -> float:
     return len(x_kmers & y_kmers) / windows
 
 
+def _packed_windows(codes: np.ndarray, length: int) -> np.ndarray:
+    """Every length-``length`` window of each code row as one ``uint64``, 2 bits a base.
+
+    Exact for ``length <= 32``, because 4**32 = 2**64.  Each step joins the
+    keys ``shift <= span`` apart into keys of ``span + shift`` bases: the
+    bases the two share land on the same bits, so doubling reaches
+    ``length`` in about log2(length) shifted ORs, not one pass per base.
+    """
+    keys, span = codes.astype(np.uint64), 1
+    while span < length:
+        shift = min(span, length - span)
+        keys = (keys[:, :-shift] << np.uint64(2 * shift)) | keys[:, shift:]
+        span += shift
+    return keys
+
+
 def overlap_matrix(samples, k: int) -> np.ndarray:
     """Pairwise k-mer overlap of the samples.
 
     Entry (i, j) equals ``overlap(samples[i], samples[j], k)``, counted for
-    every pair at once from one numbering of all samples' k-byte window
-    keys.  Diagonal entries are self-overlaps, which fall below 1 when a
-    sequence repeats one of its length-k windows.
+    every pair at once from one numbering of all samples' window keys.  A
+    key is ``ceil(k / 32)`` exact ``uint64`` words, one per 32-base slice
+    of the window; the counts need only key equality, not key order.
+    Diagonal entries are self-overlaps, which fall below 1 when a sequence
+    repeats one of its length-k windows.
     """
     codes = _codes(samples)
     windows = _window_count(codes.shape[1], k)
-    keys = np.ascontiguousarray(sliding_window_view(codes, k, axis=1)).view(f"V{k}").ravel()
+    slices = [
+        _packed_windows(codes, min(32, k - start))[:, start : start + windows]
+        for start in range(0, k, 32)
+    ]
+    words = np.stack(slices, axis=-1).reshape(-1, len(slices))
+    # one word sorts as a number, more as one byte string per window
+    keys = words[:, 0] if words.shape[1] == 1 else words.view(f"V{8 * words.shape[1]}")[:, 0]
     order = np.argsort(keys)
     keys, rows = keys[order], order // windows
     key_ids = np.concatenate(([0], np.cumsum(keys[1:] != keys[:-1])))

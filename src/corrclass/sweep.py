@@ -11,6 +11,7 @@ many worker processes ran them.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -215,13 +216,49 @@ def _check_jobs(jobs: int) -> None:
         raise ValueError(f"jobs must be positive, got {jobs}")
 
 
+# names of an OpenBLAS thread function: plain, 64-bit-integer builds, and
+# the scipy-openblas builds that numpy wheels load
+_OPENBLAS_NAMES = ("openblas_{}", "openblas_{}64_", "scipy_openblas_{}", "scipy_openblas_{}64_")
+
+
+def _openblas_function(name: str):
+    """``*_{name}*`` of the OpenBLAS this process has loaded, or None.
+
+    The library is found among the files mapped in ``/proc/self/maps``.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(None, 5)[5].strip() for line in maps if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_NAMES:
+            function = getattr(library, symbol.format(name), None)
+            if function is not None:
+                return function
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one OpenBLAS thread per worker, so ``jobs`` workers
+    do not each start a BLAS thread per CPU.  Without OpenBLAS it does nothing."""
+    set_threads = _openblas_function("set_num_threads")
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Run every (grid point, realization) cell and aggregate.
 
     The seed of each cell depends only on (base_seed, grid value,
     realization index), and ``map`` returns the cells in the order given,
     so the output is identical for any ``jobs``.  ``jobs`` above 1 starts
-    at most ``os.cpu_count()`` worker processes.
+    at most ``os.cpu_count()`` worker processes with one BLAS thread each.
     """
     _check_jobs(jobs)
     cells = [
@@ -235,7 +272,7 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     else:
         # real pool even on one CPU so schedule independence is exercised
         workers = min(jobs, len(cells), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             rows = list(pool.map(task, cells, chunksize=8))
     errors = np.array(rows).reshape(len(config.grid), config.realizations, len(config.pairs))
     return SweepResult(config=config, errors=errors)

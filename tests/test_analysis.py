@@ -38,9 +38,10 @@ def oracle_overlap_matrix(samples, k):
 
 @st.composite
 def overlap_case(draw):
-    """Equal-length samples and a k; the two-letter alphabet repeats windows."""
+    """Equal-length samples and a k; the two-letter alphabet repeats windows,
+    and widths up to 70 let k cross the 32- and 64-base word boundaries."""
     alphabet = draw(st.sampled_from(["ACGT", "AC"]))
-    width = draw(st.integers(1, 30))
+    width = draw(st.integers(1, 70))
     sample = st.text(alphabet, min_size=width, max_size=width)
     return draw(st.lists(sample, min_size=1, max_size=6)), draw(st.integers(1, width))
 
@@ -124,8 +125,13 @@ class TestOverlapMatrix:
 
     @settings(deadline=None)
     @given(overlap_case())
-    # windows longer than 32 bases, which differ only in their last base
+    # windows of one and two 32-base words, which differ only in their last base
+    @example((["A" * 40, "A" * 39 + "C", "ACGT" * 10], 32))
+    @example((["A" * 40, "A" * 39 + "C", "ACGT" * 10], 33))
     @example((["A" * 40, "A" * 39 + "C", "ACGT" * 10], 34))
+    # two and three words, whose windows differ in a word's last or first base
+    @example((["T" * 70, "T" * 64 + "G" * 6, "AC" * 35], 64))
+    @example((["T" * 70, "T" * 64 + "G" * 6, "AC" * 35], 65))
     def test_property_equals_pairwise_oracle(self, case):
         samples, k = case
         assert np.array_equal(overlap_matrix(samples, k), oracle_overlap_matrix(samples, k))

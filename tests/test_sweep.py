@@ -2,6 +2,9 @@
 
 import io
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,6 +26,12 @@ from corrclass.sweep import (
     write_plot_table,
     write_sweep_csv,
 )
+
+
+def _worker_blas_threads(barrier) -> tuple[int, int]:
+    """(pid, OpenBLAS threads) of the pool worker that runs it."""
+    barrier.wait(timeout=60)
+    return os.getpid(), sweep._openblas_function("get_num_threads")()
 
 
 def tiny_config(**overrides):
@@ -232,7 +241,8 @@ class TestRunSweep:
         started = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
+                assert initializer is sweep._one_blas_thread
                 started.append(max_workers)
 
             def __enter__(self):
@@ -249,6 +259,20 @@ class TestRunSweep:
         capped = run_sweep(tiny_config(), jobs=1000)
         assert started == [workers]
         assert np.array_equal(capped.errors, tiny_result.errors)
+
+    def test_pool_workers_get_one_blas_thread(self):
+        get_threads = sweep._openblas_function("get_num_threads")
+        if get_threads is None:
+            pytest.skip("numpy did not load OpenBLAS")
+        before = get_threads()
+        # each task waits for the other, so the two run in different workers
+        with multiprocessing.Manager() as manager:
+            barrier = manager.Barrier(2)
+            with ProcessPoolExecutor(max_workers=2, initializer=sweep._one_blas_thread) as pool:
+                reports = list(pool.map(_worker_blas_threads, [barrier, barrier]))
+        assert len({pid for pid, _ in reports}) == 2
+        assert [threads for _, threads in reports] == [1, 1]
+        assert get_threads() == before
 
     def test_series_accessor(self, tiny_result):
         values, means, stds = tiny_result.series((0, 4))
