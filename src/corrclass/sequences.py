@@ -40,8 +40,8 @@ _CODE_OF_BYTE = np.full(256, 255, dtype=np.uint8)
 for _index, _byte in enumerate(b"ACGT"):
     _CODE_OF_BYTE[_byte] = _index
 
-# one float32 one-hot row per base code
-_ONE_HOT = np.eye(4, dtype=np.float32)
+# the four base codes as a column: comparing codes with it gives one-hot rows
+_BASES = np.arange(4, dtype=np.uint8)[:, None]
 # cap on one block's scratch: the kernel's float32 probe rows, window rows
 # and product, or the float64 presence columns of overlap_matrix
 _CHUNK_BYTES = 1 << 20
@@ -262,10 +262,12 @@ def match_matrix(samples, probes) -> np.ndarray:
         stop = start + probe_step
         # complement in code space: A=0 <-> T=3, C=1 <-> G=2; rows laid out
         # base-major to match the windows below
-        targets = _ONE_HOT[3 - probe_codes[start:stop]].transpose(0, 2, 1).reshape(-1, width)
+        chunk = probe_codes[start:stop]
+        targets = (chunk[:, None, :] == 3 - _BASES).reshape(-1, width).astype(np.float32)
         block = best[:, start:stop]
         for offset in range(0, n_offsets, offset_step):
-            one_hot = _ONE_HOT[sample_codes[:, offset : offset + offset_step + length - 1]]
+            codes = sample_codes[:, offset : offset + offset_step + length - 1]
+            one_hot = (codes[..., None] == _BASES[:, 0]).astype(np.float32)
             windows = sliding_window_view(one_hot, length, axis=1)
             # one expression, so the window rows of all samples and their
             # product are freed before the next chunk is built

@@ -16,7 +16,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -221,10 +221,12 @@ def _check_jobs(jobs: int) -> None:
 _OPENBLAS_NAMES = ("openblas_{}", "openblas_{}64_", "scipy_openblas_{}", "scipy_openblas_{}64_")
 
 
+@cache
 def _openblas_function(name: str):
     """``*_{name}*`` of the OpenBLAS this process has loaded, or None.
 
-    The library is found among the files mapped in ``/proc/self/maps``.
+    The library is found among the files mapped in ``/proc/self/maps``,
+    once per name: forked workers inherit the lookups.
     """
     try:
         with open("/proc/self/maps") as maps:
@@ -243,13 +245,25 @@ def _openblas_function(name: str):
     return None
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: one OpenBLAS thread per worker, so ``jobs`` workers
-    do not each start a BLAS thread per CPU.  Without OpenBLAS it does nothing."""
+def _set_blas_threads(count: int) -> int | None:
+    """Give OpenBLAS ``count`` threads and return the count it had; without
+    OpenBLAS do nothing and return None."""
+    get_threads = _openblas_function("get_num_threads")
     set_threads = _openblas_function("set_num_threads")
-    if set_threads is not None:
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(1)
+    if get_threads is None or set_threads is None:
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    before = get_threads()
+    set_threads(count)
+    return before
+
+
+def _one_blas_thread() -> int | None:
+    """One OpenBLAS thread for the cells: the pool initializer, so ``jobs``
+    workers do not each start a BLAS thread per CPU, and the in-process path,
+    whose small products run faster on one.  Returns the count it replaced."""
+    return _set_blas_threads(1)
 
 
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
@@ -258,7 +272,8 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     The seed of each cell depends only on (base_seed, grid value,
     realization index), and ``map`` returns the cells in the order given,
     so the output is identical for any ``jobs``.  ``jobs`` above 1 starts
-    at most ``os.cpu_count()`` worker processes with one BLAS thread each.
+    at most ``os.cpu_count()`` worker processes.  Every cell runs on one
+    OpenBLAS thread; at ``jobs == 1`` the caller's count is restored after.
     """
     _check_jobs(jobs)
     cells = [
@@ -268,7 +283,12 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     ]
     task = partial(_pair_errors, config.pairs)
     if jobs == 1:
-        rows = list(map(task, cells))
+        before = _one_blas_thread()
+        try:
+            rows = list(map(task, cells))
+        finally:
+            if before is not None:
+                _set_blas_threads(before)
     else:
         # real pool even on one CPU so schedule independence is exercised
         workers = min(jobs, len(cells), os.cpu_count() or 1)

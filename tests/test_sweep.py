@@ -274,6 +274,34 @@ class TestRunSweep:
         assert [threads for _, threads in reports] == [1, 1]
         assert get_threads() == before
 
+    def test_in_process_cells_get_one_blas_thread(self, monkeypatch):
+        get_threads = sweep._openblas_function("get_num_threads")
+        set_threads = sweep._openblas_function("set_num_threads")
+        if get_threads is None or set_threads is None:
+            pytest.skip("numpy did not load OpenBLAS")
+        seen, fail = [], []
+
+        def recording_realization(*cell):
+            seen.append(get_threads())
+            if fail:
+                raise RuntimeError("cell failed")
+            return run_realization(*cell)
+
+        monkeypatch.setattr(sweep, "run_realization", recording_realization)
+        before = get_threads()
+        set_threads(2)
+        try:
+            run_sweep(tiny_config())
+            assert seen == [1] * 6
+            assert get_threads() == 2
+            fail.append(True)
+            with pytest.raises(RuntimeError, match="cell failed"):
+                run_sweep(tiny_config())
+            assert seen == [1] * 7
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+
     def test_series_accessor(self, tiny_result):
         values, means, stds = tiny_result.series((0, 4))
         assert np.array_equal(values, np.array([8.0, 12.0]))
