@@ -96,15 +96,16 @@ def random_sequence(length: int, rng: np.random.Generator) -> str:
 class ProbeSet:
     """Measurement sequences, all of one length, held as uint8 codes.
 
-    Built from a collection of ACGT strings, which is validated once, or
-    from an ``(n, length)`` integer array of codes.  Strings are decoded
-    only on demand: ``probes``, iteration and indexing yield ``str``.
+    Built from a collection of ACGT strings (a numpy string or object
+    array among them), which is validated once, or from an ``(n, length)``
+    integer array of codes.  Strings are decoded only on demand:
+    ``probes``, iteration and indexing yield ``str``.
     """
 
     __slots__ = ("codes",)
 
     def __init__(self, probes) -> None:
-        if isinstance(probes, np.ndarray):
+        if isinstance(probes, np.ndarray) and probes.dtype.kind not in "OSU":
             if probes.ndim != 2 or 0 in probes.shape or probes.dtype.kind not in "iu":
                 raise ValueError(
                     f"codes must be a nonempty 2-D integer array, got {probes.dtype} "
@@ -223,10 +224,8 @@ def reference_family(sample_length: int, rng: np.random.Generator) -> ReferenceF
 
 
 def _codes(seqs) -> np.ndarray:
-    """Codes a ``ProbeSet`` or ``ReferenceFamily`` carries; other collections are validated."""
-    if isinstance(seqs, ProbeSet):
-        return seqs.codes
-    return _batch(seqs)[1]
+    """Codes a ``ProbeSet`` carries; any other input is validated into one first."""
+    return (seqs if isinstance(seqs, ProbeSet) else ProbeSet(seqs)).codes
 
 
 def max_complementary_match(sample: str, probe: str) -> int:
@@ -250,9 +249,7 @@ def match_matrix(samples, probes) -> np.ndarray:
     """
     sample_codes, probe_codes = _codes(samples), _codes(probes)
     n_samples, n_probes, length = len(sample_codes), *probe_codes.shape
-    n_offsets = sample_codes.shape[1] - length + 1
-    if n_offsets < 1:
-        raise ValueError(f"probe length {length} exceeds sample length {sample_codes.shape[1]}")
+    n_offsets = _window_count(sample_codes.shape[1], length)
     width = 4 * length
     budget = _CHUNK_BYTES // 4
     probe_step = min(n_probes, max(1, budget // (2 * width)))
@@ -284,7 +281,7 @@ def _window_count(length: int, k: int) -> int:
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if k > length:
-        raise ValueError(f"k-mer length {k} exceeds sequence length {length}")
+        raise ValueError(f"window length {k} exceeds sequence length {length}")
     return length - k + 1
 
 
@@ -332,18 +329,18 @@ def overlap_matrix(samples, k: int) -> np.ndarray:
 
     Entry (i, j) equals ``overlap(samples[i], samples[j], k)``, counted for
     every pair at once from one numbering of all samples' window keys.  A
-    key is ``ceil(k / 32)`` exact ``uint64`` words, one per 32-base slice
-    of the window; the counts need only key equality, not key order.
+    key is ``ceil(k / 32)`` exact ``uint64`` words of ``min(32, k)`` bases,
+    at offsets 0, 32, ... of the window and one ending at its last base, so
+    the last two may overlap; the counts need only key equality, not order.
     Diagonal entries are self-overlaps, which fall below 1 when a sequence
     repeats one of its length-k windows.
     """
     codes = _codes(samples)
     windows = _window_count(codes.shape[1], k)
-    slices = [
-        _packed_windows(codes, min(32, k - start))[:, start : start + windows]
-        for start in range(0, k, 32)
-    ]
-    words = np.stack(slices, axis=-1).reshape(-1, len(slices))
+    packed = _packed_windows(codes, min(32, k))
+    starts = [*range(0, k - 32, 32), max(0, k - 32)]
+    words = np.stack([packed[:, start : start + windows] for start in starts], axis=-1)
+    words = words.reshape(-1, len(starts))
     # one word sorts as a number, more as one byte string per window
     keys = words[:, 0] if words.shape[1] == 1 else words.view(f"V{8 * words.shape[1]}")[:, 0]
     order = np.argsort(keys)

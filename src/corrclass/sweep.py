@@ -185,9 +185,11 @@ class SweepResult:
     def series(self, pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(grid values, mean errors, std errors) for one tracked pair."""
         pair = (int(pair[0]), int(pair[1]))
-        if pair not in self.config.pairs:
-            raise ValueError(f"pair {pair} was not tracked; tracked: {self.config.pairs}")
-        col = self.config.pairs.index(pair)
+        pairs = self.config.pairs
+        # the error matrix is symmetric, so (j, i) names the column of (i, j)
+        col = next((col for col, tracked in enumerate(pairs) if set(tracked) == set(pair)), None)
+        if col is None:
+            raise ValueError(f"pair {pair} was not tracked; tracked: {pairs}")
         means, stds = self._statistics
         return np.asarray(self.config.grid, dtype=float), means[:, col], stds[:, col]
 
@@ -205,28 +207,18 @@ def run_realization(
     return similarity_report(family, probes)
 
 
-def _pair_errors(pairs: tuple[tuple[int, int], ...], cell: tuple[int, ...]) -> tuple[float, ...]:
-    """The tracked pairs' errors of one (W, M, L, seed) cell; module-level for pickling."""
-    report = run_realization(*cell)
-    return tuple(float(report.error[i, j]) for i, j in pairs)
-
-
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
-
-
 # names of an OpenBLAS thread function: plain, 64-bit-integer builds, and
 # the scipy-openblas builds that numpy wheels load
 _OPENBLAS_NAMES = ("openblas_{}", "openblas_{}64_", "scipy_openblas_{}", "scipy_openblas_{}64_")
 
 
 @cache
-def _openblas_function(name: str):
-    """``*_{name}*`` of the OpenBLAS this process has loaded, or None.
+def _openblas_threads():
+    """Typed ``(get_num_threads, set_num_threads)`` of the OpenBLAS this
+    process has loaded, or None.
 
-    The library is found among the files mapped in ``/proc/self/maps``,
-    once per name: forked workers inherit the lookups.
+    The library is found among the files mapped in ``/proc/self/maps``, once
+    per process: forked workers inherit the lookup.
     """
     try:
         with open("/proc/self/maps") as maps:
@@ -239,31 +231,41 @@ def _openblas_function(name: str):
         except OSError:
             continue
         for symbol in _OPENBLAS_NAMES:
-            function = getattr(library, symbol.format(name), None)
-            if function is not None:
-                return function
+            get_threads = getattr(library, symbol.format("get_num_threads"), None)
+            set_threads = getattr(library, symbol.format("set_num_threads"), None)
+            if get_threads is not None and set_threads is not None:
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                return get_threads, set_threads
     return None
 
 
-def _set_blas_threads(count: int) -> int | None:
-    """Give OpenBLAS ``count`` threads and return the count it had; without
-    OpenBLAS do nothing and return None."""
-    get_threads = _openblas_function("get_num_threads")
-    set_threads = _openblas_function("set_num_threads")
-    if get_threads is None or set_threads is None:
-        return None
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    before = get_threads()
-    set_threads(count)
-    return before
+def _pair_errors(pairs: tuple[tuple[int, int], ...], cell: tuple[int, ...]) -> tuple[float, ...]:
+    """The tracked pairs' errors of one (W, M, L, seed) cell; module-level for pickling.
+
+    The cell runs on one OpenBLAS thread, in a pool worker or in process: its
+    small products run faster on one, and ``jobs`` workers do not each start
+    a BLAS thread per CPU.  The count it found is restored after.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        report = run_realization(*cell)
+    else:
+        get_threads, set_threads = threads
+        before = get_threads()
+        set_threads(1)
+        try:
+            report = run_realization(*cell)
+        finally:
+            set_threads(before)
+    return tuple(float(report.error[i, j]) for i, j in pairs)
 
 
-def _one_blas_thread() -> int | None:
-    """One OpenBLAS thread for the cells: the pool initializer, so ``jobs``
-    workers do not each start a BLAS thread per CPU, and the in-process path,
-    whose small products run faster on one.  Returns the count it replaced."""
-    return _set_blas_threads(1)
+def _check_jobs(jobs) -> int:
+    jobs = _as_int("jobs", jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
+    return jobs
 
 
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
@@ -272,10 +274,9 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     The seed of each cell depends only on (base_seed, grid value,
     realization index), and ``map`` returns the cells in the order given,
     so the output is identical for any ``jobs``.  ``jobs`` above 1 starts
-    at most ``os.cpu_count()`` worker processes.  Every cell runs on one
-    OpenBLAS thread; at ``jobs == 1`` the caller's count is restored after.
+    at most ``os.cpu_count()`` worker processes.
     """
-    _check_jobs(jobs)
+    jobs = _check_jobs(jobs)
     cells = [
         (*config.params_at(value), derive_seed(config.base_seed, value, realization))
         for value in config.grid
@@ -283,16 +284,11 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     ]
     task = partial(_pair_errors, config.pairs)
     if jobs == 1:
-        before = _one_blas_thread()
-        try:
-            rows = list(map(task, cells))
-        finally:
-            if before is not None:
-                _set_blas_threads(before)
+        rows = list(map(task, cells))
     else:
         # real pool even on one CPU so schedule independence is exercised
         workers = min(jobs, len(cells), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(task, cells, chunksize=8))
     errors = np.array(rows).reshape(len(config.grid), config.realizations, len(config.pairs))
     return SweepResult(config=config, errors=errors)

@@ -88,6 +88,11 @@ class TestSequenceSets:
         codes = np.array([[0, 1, 2, 3], [3, 3, 0, 0]])
         assert ProbeSet(codes).probes == ("ACGT", "TTAA")
         assert ProbeSet(codes) == ProbeSet(("ACGT", "TTAA"))
+        # numpy string and object arrays are strings, not codes
+        for strings in (np.array(["ACGT", "TTAA"]), np.array(["ACGT", "TTAA"], dtype=object)):
+            assert ProbeSet(strings) == ProbeSet(codes)
+        with pytest.raises(ValueError, match="outside ACGT"):
+            ProbeSet(np.array(["ACGT", "TTAX"]))
         for bad in (codes - 1, codes + 1, codes[0], codes[:0], codes.astype(float)):
             with pytest.raises(ValueError):
                 ProbeSet(bad)
@@ -282,6 +287,11 @@ class TestMatchMatrix:
         probes = random_probes(5, 4, rng)
         m = match_matrix(samples, probes)
         assert m.shape == (3, 5)
+        # a numpy string array and a code array give the same matrix
+        as_strings = (np.array(samples), np.array(probes.probes))
+        as_codes = (ProbeSet(samples).codes, probes.codes)
+        for given in (as_strings, as_codes):
+            assert np.array_equal(match_matrix(*given), m)
         with pytest.raises(TypeError):
             match_matrix(samples[0], probes)
 

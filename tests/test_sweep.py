@@ -5,6 +5,8 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,10 +30,18 @@ from corrclass.sweep import (
 )
 
 
-def _worker_blas_threads(barrier) -> tuple[int, int]:
-    """(pid, OpenBLAS threads) of the pool worker that runs it."""
-    barrier.wait(timeout=60)
-    return os.getpid(), sweep._openblas_function("get_num_threads")()
+def _reading_realization(barrier, get_threads):
+    """A stand-in for ``run_realization`` whose report carries, as the errors
+    of pairs (0, 1) and (0, 2), the pid of the process that ran the cell and
+    the OpenBLAS threads the cell saw; each cell first waits at ``barrier``."""
+
+    def reading(*cell):
+        barrier.wait(timeout=60)
+        error = np.zeros((8, 8))
+        error[0, 1], error[0, 2] = os.getpid(), get_threads()
+        return SimpleNamespace(error=error)
+
+    return reading
 
 
 def tiny_config(**overrides):
@@ -230,9 +240,11 @@ class TestRunSweep:
         pooled = run_sweep(config, jobs=2)
         assert np.array_equal(pooled.errors, run_sweep(config).errors)
 
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(ValueError, match="jobs"):
-            run_sweep(tiny_config(), jobs=0)
+    def test_rejects_bad_jobs(self, tiny_result):
+        for bad in (0, -1, 2.5, "2", None):
+            with pytest.raises(ValueError, match="jobs"):
+                run_sweep(tiny_config(), jobs=bad)
+        assert np.array_equal(run_sweep(tiny_config(), jobs=np.int64(1)).errors, tiny_result.errors)
 
     @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
     def test_workers_capped_at_cpu_count(self, tiny_result, monkeypatch, cpus, workers):
@@ -241,8 +253,7 @@ class TestRunSweep:
         started = []
 
         class RecordingPool:
-            def __init__(self, max_workers, initializer):
-                assert initializer is sweep._one_blas_thread
+            def __init__(self, max_workers):
                 started.append(max_workers)
 
             def __enter__(self):
@@ -260,25 +271,37 @@ class TestRunSweep:
         assert started == [workers]
         assert np.array_equal(capped.errors, tiny_result.errors)
 
-    def test_pool_workers_get_one_blas_thread(self):
-        get_threads = sweep._openblas_function("get_num_threads")
-        if get_threads is None:
+    def test_pool_workers_get_one_blas_thread(self, monkeypatch):
+        threads = sweep._openblas_threads()
+        if threads is None:
             pytest.skip("numpy did not load OpenBLAS")
+        get_threads, set_threads = threads
+        # forked workers inherit the stand-in realization and the parent's 2
+        # threads; each cell waits for a cell of the other worker, so the two
+        # chunks of 8 cells run in two workers
+        fork = multiprocessing.get_context("fork")
+        pool = partial(ProcessPoolExecutor, mp_context=fork)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
         before = get_threads()
-        # each task waits for the other, so the two run in different workers
-        with multiprocessing.Manager() as manager:
-            barrier = manager.Barrier(2)
-            with ProcessPoolExecutor(max_workers=2, initializer=sweep._one_blas_thread) as pool:
-                reports = list(pool.map(_worker_blas_threads, [barrier, barrier]))
-        assert len({pid for pid, _ in reports}) == 2
-        assert [threads for _, threads in reports] == [1, 1]
-        assert get_threads() == before
+        set_threads(2)
+        try:
+            with multiprocessing.Manager() as manager:
+                reading = _reading_realization(manager.Barrier(2), get_threads)
+                monkeypatch.setattr(sweep, "run_realization", reading)
+                result = run_sweep(tiny_config(realizations=8, pairs=((0, 1), (0, 2))), jobs=2)
+            pids, seen = result.errors.reshape(-1, 2).T
+            assert len(set(pids)) == 2 and os.getpid() not in pids
+            assert seen.tolist() == [1] * 16
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
 
     def test_in_process_cells_get_one_blas_thread(self, monkeypatch):
-        get_threads = sweep._openblas_function("get_num_threads")
-        set_threads = sweep._openblas_function("set_num_threads")
-        if get_threads is None or set_threads is None:
+        threads = sweep._openblas_threads()
+        if threads is None:
             pytest.skip("numpy did not load OpenBLAS")
+        get_threads, set_threads = threads
         seen, fail = [], []
 
         def recording_realization(*cell):
@@ -310,8 +333,12 @@ class TestRunSweep:
         by_row = {row[1]: row[3:5] for row in csv_rows(tiny_result) if row[2] == "0-4"}
         for value, mean, std in zip(values, means, stds):
             assert by_row[str(int(value))] == [format(mean, ".6g"), format(std, ".6g")]
-        with pytest.raises(ValueError, match="not tracked"):
-            tiny_result.series((1, 2))
+        # the error matrix is symmetric, so the reversed pair names the same series
+        for got, want in zip(tiny_result.series((4, np.int64(0))), (values, means, stds)):
+            assert np.array_equal(got, want)
+        for untracked in ((1, 2), (2, 1), (5, 6)):
+            with pytest.raises(ValueError, match="not tracked"):
+                tiny_result.series(untracked)
 
 
 class TestFigurePresets:
