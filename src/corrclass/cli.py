@@ -205,8 +205,8 @@ def _cmd_opinions(args) -> int:
     )
     population = generate_population(config)
     opinions = opinion_matrix(population, config.normalization)
-    correlations = row_correlation(opinions)
-    predicted = predict_matrix(correlations, opinions, choose_k(config))
+    # the correlation table is freed before the error needs its own
+    predicted = predict_matrix(row_correlation(opinions), opinions, choose_k(config))
     empirical = empirical_error(opinions, predicted)
     theoretical = theoretical_error(
         config.n_components, config.n_individuals, config.n_products, gamma_factor(config)
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

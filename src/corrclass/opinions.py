@@ -146,11 +146,17 @@ def row_correlation(matrix) -> CorrelationMatrix:
     if data.shape[1] < 2:
         raise ValueError(f"row correlation needs at least 2 columns, got {data.shape[1]}")
     centered = data - data.mean(axis=1, keepdims=True)
+    del data
     norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
     degenerate = norms == 0.0
     safe = np.where(degenerate, 1.0, norms)
-    values = (centered @ centered.T) / np.outer(safe, safe)
-    values = (values + values.T) / 2.0
+    values = centered @ centered.T
+    del centered
+    # in place, so at most two N x N tables live beside the input; numpy
+    # buffers the overlapping values.T of the sum, so every bit is kept
+    values /= np.outer(safe, safe)
+    values += values.T
+    values /= 2.0
     np.clip(values, -1.0, 1.0, out=values)
     np.fill_diagonal(values, 1.0)
     if degenerate.any():

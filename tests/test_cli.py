@@ -2,9 +2,11 @@
 
 import io
 import re
+import tracemalloc
 
 import pytest
 
+from corrclass import cli
 from corrclass.cli import main
 from corrclass.fasta import read_fasta
 from corrclass.sweep import (
@@ -298,6 +300,34 @@ class TestOpinionsCommand:
     def test_bad_dimensions_exit_1(self, capsys):
         assert main(["opinions", "--m", "0", "--n", "40", "--l", "3"]) == 1
         assert capsys.readouterr().err
+
+    def test_stdout_bytes_are_pinned(self, capsys):
+        assert main(["opinions", "--m", "300", "--n", "200", "--l", "4", "--seed", "5"]) == 0
+        assert capsys.readouterr().out == (
+            "empirical_error 0.0458061\ntheoretical_error 0.0856305\nratio 0.534927\n"
+        )
+
+    def test_memory_error_exits_1(self, monkeypatch, capsys):
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
+
+        def refuse(population, normalization):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "opinion_matrix", refuse)
+        assert main(["opinions", "--m", "3", "--n", "3", "--l", "2"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_scratch_memory_is_bounded(self, capsys):
+        # with the correlation table alive through the error, four 600 x 600
+        # float64 tables were live at once: a traced peak of 4.08 tables
+        table = 600 * 600 * 8
+        tracemalloc.start()
+        try:
+            assert main(["opinions", "--m", "600", "--n", "600", "--l", "4"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * table
 
 
 class TestGenRefsCommand:
