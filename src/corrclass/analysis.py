@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .opinions import CorrelationMatrix, row_correlation
-from .sequences import match_matrix, overlap_matrix
+from .sequences import ProbeSet, match_matrix, overlap_matrix
 
 __all__ = [
     "SimilarityReport",
@@ -57,8 +57,9 @@ def similarity_report(samples, probes) -> SimilarityReport:
     as a ``ReferenceFamily`` and a ``ProbeSet``; ``match_matrix`` validates
     them.
     """
+    probes = probes if isinstance(probes, ProbeSet) else ProbeSet(probes)
     correlation = sample_correlation(match_matrix(samples, probes))
-    omega = overlap_matrix(samples, len(probes[0]))
+    omega = overlap_matrix(samples, probes.length)
     return SimilarityReport(
         correlation=correlation.values,
         overlap=omega,

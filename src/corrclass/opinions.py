@@ -152,11 +152,11 @@ def row_correlation(matrix) -> CorrelationMatrix:
     safe = np.where(degenerate, 1.0, norms)
     values = centered @ centered.T
     del centered
-    # in place, so at most two N x N tables live beside the input; numpy
-    # buffers the overlapping values.T of the sum, so every bit is kept
+    # in place, so at most two N x N tables live beside the input.  numpy
+    # computes a product with its own transpose by BLAS syrk and mirrors the
+    # triangle, and the outer product of the norms is symmetric too, so the
+    # quotient is exactly symmetric without averaging it with its transpose
     values /= np.outer(safe, safe)
-    values += values.T
-    values /= 2.0
     np.clip(values, -1.0, 1.0, out=values)
     np.fill_diagonal(values, 1.0)
     if degenerate.any():

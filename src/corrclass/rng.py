@@ -9,6 +9,7 @@ independent of the order in which streams are consumed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -26,11 +27,16 @@ def _splitmix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
+@functools.lru_cache(maxsize=64)
+def _tag_u64(tag: str) -> int:
+    # blake2b keeps string tags stable across platforms and sessions; every
+    # sweep cell hashes the same few tags, so each is hashed once
+    return int.from_bytes(hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest(), "little")
+
+
 def _as_u64(part: int | str) -> int:
     if isinstance(part, str):
-        # blake2b keeps string tags stable across platforms and sessions
-        digest = hashlib.blake2b(part.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "little")
+        return _tag_u64(part)
     if isinstance(part, (int, np.integer)):
         return int(part) & _MASK64
     raise TypeError(f"seed parts must be int or str, got {type(part).__name__}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import operator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "ALPHABET",
@@ -42,6 +41,8 @@ for _index, _byte in enumerate(b"ACGT"):
 
 # the four base codes as a column: comparing codes with it gives one-hot rows
 _BASES = np.arange(4, dtype=np.uint8)[:, None]
+# complement in code space: A=0 <-> T=3, C=1 <-> G=2
+_COMPLEMENTS = 3 - _BASES
 # cap on one block's scratch: the kernel's float32 probe rows, window rows
 # and product, or the float64 presence columns of overlap_matrix
 _CHUNK_BYTES = 1 << 20
@@ -111,7 +112,8 @@ class ProbeSet:
                     f"codes must be a nonempty 2-D integer array, got {probes.dtype} "
                     f"of shape {probes.shape}"
                 )
-            if probes.min() < 0 or probes.max() > 3:
+            # one reduction: read as unsigned, a negative code is above 3 too
+            if probes.view(probes.dtype.str.replace("i", "u")).max() > 3:
                 raise ValueError("codes must lie in 0..3")
             codes = probes.astype(np.uint8)
         else:
@@ -205,21 +207,21 @@ def reference_family(sample_length: int, rng: np.random.Generator) -> ReferenceF
     w = sample_length
     half = w // 2
     gene_length = w // 3
-
-    def draw(length: int) -> np.ndarray:
-        # the default dtype, as random_sequence draws
-        return rng.integers(0, 4, size=length)
-
     codes = np.empty((FAMILY_SIZE, w), dtype=np.uint8)
-    codes[0] = codes[1] = anchor = draw(w)
+    # draws of the default dtype, as random_sequence draws
+    codes[0] = codes[1] = anchor = rng.integers(0, 4, size=w)
     _mutate_center(codes[1], rng)
-    codes[2] = codes[3] = np.concatenate((anchor[1:], draw(1)))
+    codes[2:4, :-1] = anchor[1:]
+    codes[2:4, -1:] = rng.integers(0, 4, size=1)
     _mutate_center(codes[3], rng)
-    codes[4] = np.roll(anchor, -half)
-    codes[5] = np.concatenate((anchor[half : 2 * half], draw(w - half)))
-    codes[6] = draw(w)
-    codes[7] = draw(w)
-    codes[6, :gene_length] = codes[7, w - gene_length :] = draw(gene_length)
+    codes[4, : w - half] = anchor[half:]
+    codes[4, w - half :] = anchor[:half]
+    codes[5, :half] = anchor[half : 2 * half]
+    # one draw for the tail of 5, the bodies of 6 and 7 and the gene: PCG64
+    # yields the same values whether consecutive draws are split or merged
+    rest = rng.integers(0, 4, size=3 * w - half + gene_length)
+    codes.reshape(-1)[5 * w + half :] = rest[: 3 * w - half]
+    codes[6, :gene_length] = codes[7, w - gene_length :] = rest[3 * w - half :]
     return ReferenceFamily(codes)
 
 
@@ -257,15 +259,14 @@ def match_matrix(samples, probes) -> np.ndarray:
     best = np.zeros((n_samples, n_probes), dtype=np.float32)
     for start in range(0, n_probes, probe_step):
         stop = start + probe_step
-        # complement in code space: A=0 <-> T=3, C=1 <-> G=2; rows laid out
-        # base-major to match the windows below
+        # complemented one-hot rows, laid out base-major to match the windows below
         chunk = probe_codes[start:stop]
-        targets = (chunk[:, None, :] == 3 - _BASES).reshape(-1, width).astype(np.float32)
+        targets = (chunk[:, None, :] == _COMPLEMENTS).reshape(-1, width).astype(np.float32)
         block = best[:, start:stop]
         for offset in range(0, n_offsets, offset_step):
             codes = sample_codes[:, offset : offset + offset_step + length - 1]
             one_hot = (codes[..., None] == _BASES[:, 0]).astype(np.float32)
-            windows = sliding_window_view(one_hot, length, axis=1)
+            windows = _window_view(one_hot, length)
             # one expression, so the window rows of all samples and their
             # product are freed before the next chunk is built
             np.maximum(
@@ -274,6 +275,17 @@ def match_matrix(samples, probes) -> np.ndarray:
                 out=block,
             )
     return best.astype(np.int64)
+
+
+def _window_view(one_hot: np.ndarray, length: int) -> np.ndarray:
+    """Read-only windows along axis 1 of a contiguous 3-D array, laid out as
+    ``sliding_window_view(one_hot, length, axis=1)`` lays them out, at a
+    fraction of its per-call cost; numpy checks the strides against the buffer."""
+    rows, positions, bases = one_hot.shape
+    shape, strides = (rows, positions - length + 1, bases, length), one_hot.strides
+    windows = np.ndarray(shape, one_hot.dtype, one_hot, 0, (*strides, strides[1]))
+    windows.flags.writeable = False
+    return windows
 
 
 def _window_count(length: int, k: int) -> int:

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrclass.opinions import (
     ModelConfig,
@@ -34,14 +36,16 @@ def pearson_oracle(x, y):
 
 
 def out_of_place_correlation(matrix):
-    """``row_correlation``'s formula written out of place: its exact oracle."""
+    """``row_correlation``'s formula written out of place, still averaged with
+    its transpose to force symmetry: its exact oracle."""
     data = np.asarray(matrix, dtype=float)
     centered = data - data.mean(axis=1, keepdims=True)
     norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
     degenerate = norms == 0.0
     safe = np.where(degenerate, 1.0, norms)
     values = (centered @ centered.T) / np.outer(safe, safe)
-    values = (values + values.T) / 2.0
+    values += values.T
+    values /= 2.0
     np.clip(values, -1.0, 1.0, out=values)
     np.fill_diagonal(values, 1.0)
     values[degenerate, :] = 0.0
@@ -141,6 +145,25 @@ class TestOpinionMatrix:
             opinion_matrix(Raw(), 1.0)
 
 
+@st.composite
+def correlation_input(draw):
+    """1-40 rows by 2-80 columns: float or integer, C-ordered, F-ordered or a
+    strided slice, some rows made constant."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(2, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    shape = (2 * rows, 3 * cols) if layout == "strided" else (rows, cols)
+    if draw(st.booleans()):
+        data = rng.integers(-9, 10, size=shape)
+    else:
+        data = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 1e6])), size=shape)
+    data = np.asfortranarray(data) if layout == "F" else data
+    data = data[::2, 1::3] if layout == "strided" else data
+    for row in draw(st.lists(st.integers(0, rows - 1), max_size=3)):
+        data[row] = data[row, -1]
+    return data
+
+
 class TestRowCorrelation:
     def test_perfect_linear_dependence(self):
         c = np.asarray(row_correlation([[1, 2, 3], [2, 4, 6]]))
@@ -212,6 +235,15 @@ class TestRowCorrelation:
         assert np.array_equal(result.values, values)
         assert result.degenerate_rows == degenerate
         assert 1 in degenerate
+
+    @settings(deadline=None)
+    @given(correlation_input())
+    def test_property_exactly_symmetric_without_averaging(self, data):
+        result = row_correlation(data)
+        values, degenerate = out_of_place_correlation(data)
+        assert result.values.tobytes() == np.ascontiguousarray(result.values.T).tobytes()
+        assert result.values.tobytes() == values.tobytes()
+        assert result.degenerate_rows == degenerate
 
     def test_scratch_memory_is_bounded(self):
         # the out-of-place formula peaked at 3.05 tables beyond the input here

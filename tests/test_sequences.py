@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.lib.stride_tricks import sliding_window_view
 
 from corrclass import sequences
 from corrclass.rng import stream
@@ -41,6 +40,31 @@ def oracle_match(sample: str, probe: str) -> int:
         if hits > best:
             best = hits
     return best
+
+
+def separate_draws_family(w: int, rng: np.random.Generator) -> np.ndarray:
+    """Reference-family codes built with ``np.roll``, ``np.concatenate`` and
+    one draw per part, in the fixed draw order."""
+    half, gene = w // 2, w // 3
+
+    def draw(length):
+        return rng.integers(0, 4, size=length)
+
+    def mutate_center(row):
+        choice = int(rng.integers(0, 3))
+        row[half] = choice + (choice >= row[half])
+
+    codes = np.empty((8, w), dtype=np.uint8)
+    codes[0] = codes[1] = anchor = draw(w)
+    mutate_center(codes[1])
+    codes[2] = codes[3] = np.concatenate((anchor[1:], draw(1)))
+    mutate_center(codes[3])
+    codes[4] = np.roll(anchor, -half)
+    codes[5] = np.concatenate((anchor[half : 2 * half], draw(w - half)))
+    codes[6] = draw(w)
+    codes[7] = draw(w)
+    codes[6, :gene] = codes[7, w - gene :] = draw(gene)
+    return codes
 
 
 @st.composite
@@ -96,6 +120,22 @@ class TestSequenceSets:
         for bad in (codes - 1, codes + 1, codes[0], codes[:0], codes.astype(float)):
             with pytest.raises(ValueError):
                 ProbeSet(bad)
+
+    @pytest.mark.parametrize(
+        "dtype", ["i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8", ">i2", ">u4", "<i8"]
+    )
+    def test_probe_set_code_range_at_its_edges(self, dtype):
+        codes = np.array([[0, 1, 2, 3], [3, 2, 1, 0]], dtype=dtype)
+        assert ProbeSet(codes) == ProbeSet(("ACGT", "TGCA"))
+        assert ProbeSet(codes[:, ::2]) == ProbeSet(("AG", "TC"))
+        bad = [4] + ([-1] if np.dtype(dtype).kind == "i" else [])
+        # a bare cast to uint8 would wrap 256 to 0
+        bad += [256, -256] if np.dtype(dtype) == np.int16 else []
+        for value in bad:
+            wrong = codes.copy()
+            wrong[1, 2] = value
+            with pytest.raises(ValueError, match=r"codes must lie in 0\.\.3"):
+                ProbeSet(wrong)
 
     def test_probe_set_string_api(self):
         strs = ["ACGTA", "TTGCA", "GGGCC"]
@@ -176,6 +216,15 @@ class TestReferenceFamily:
         for seqs in (family.seqs, np.array(family.codes)):
             with pytest.raises(ValueError):
                 ReferenceFamily(seqs=seqs[:7])
+
+    @settings(deadline=None)
+    @given(st.integers(6, 400), st.integers(0, 2**64 - 1))
+    def test_merged_draw_equals_separate_draws(self, w, seed):
+        rng = stream(seed, "family")
+        family = reference_family(w, rng)
+        oracle_rng = stream(seed, "family")
+        assert family.codes.tobytes() == separate_draws_family(w, oracle_rng).tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_family_is_pinned_to_its_stream(self):
         pinned = (
@@ -328,11 +377,13 @@ class TestMatchMatrix:
         monkeypatch.setattr(sequences, "_CHUNK_BYTES", 1276)
         spans = []
 
-        def windows_spy(one_hot, *args, **kwargs):
-            spans.append(one_hot.shape)
-            return sliding_window_view(one_hot, *args, **kwargs)
+        window_view = sequences._window_view
 
-        monkeypatch.setattr(sequences, "sliding_window_view", windows_spy)
+        def windows_spy(one_hot, length):
+            spans.append(one_hot.shape)
+            return window_view(one_hot, length)
+
+        monkeypatch.setattr(sequences, "_window_view", windows_spy)
         rng = stream(32, "chunks")
         samples = [random_sequence(30, rng) for _ in range(3)]
         probes = [random_sequence(4, rng) for _ in range(10)]
