@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from corrclass import sequences
 from corrclass.rng import stream
@@ -381,7 +382,10 @@ class TestMatchMatrix:
 
         def windows_spy(one_hot, length):
             spans.append(one_hot.shape)
-            return window_view(one_hot, length)
+            windows = window_view(one_hot, length)
+            assert not windows.flags.writeable
+            assert np.array_equal(windows, sliding_window_view(one_hot, length, axis=1))
+            return windows
 
         monkeypatch.setattr(sequences, "_window_view", windows_spy)
         rng = stream(32, "chunks")
