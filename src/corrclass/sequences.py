@@ -278,9 +278,9 @@ def match_matrix(samples, probes) -> np.ndarray:
 
 
 def _window_view(one_hot: np.ndarray, length: int) -> np.ndarray:
-    """Read-only windows along axis 1 of a contiguous 3-D array, laid out as
-    ``sliding_window_view(one_hot, length, axis=1)`` lays them out, at a
-    fraction of its per-call cost; numpy checks the strides against the buffer."""
+    """Read-only windows along axis 1 of a contiguous 3-D array, in the layout
+    of ``sliding_window_view(one_hot, length, axis=1)`` at a fraction of its
+    per-call cost; numpy checks the strides against the buffer."""
     rows, positions, bases = one_hot.shape
     shape, strides = (rows, positions - length + 1, bases, length), one_hot.strides
     windows = np.ndarray(shape, one_hot.dtype, one_hot, 0, (*strides, strides[1]))
