@@ -25,7 +25,7 @@ from .opinions import (
     row_correlation,
     theoretical_error,
 )
-from .rng import stream
+from .rng import _check_seed, stream
 from .sequences import reference_family
 from .sweep import (
     _FIXED_FIELD,
@@ -58,12 +58,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _u64(text: str) -> int:
     try:
-        value = int(text)
+        return _check_seed(int(text))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
-    if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError(f"seed must fit in 64 unsigned bits, got {text}")
-    return value
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer in [0, 2**64), got {text!r}"
+        ) from None
 
 
 def _parse_int(text: str) -> int:

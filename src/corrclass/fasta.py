@@ -12,7 +12,7 @@ from typing import TextIO
 
 from .sequences import _batch
 
-__all__ = ["read_fasta", "write_fasta", "LINE_WIDTH"]
+__all__ = ["read_fasta", "write_fasta"]
 
 LINE_WIDTH = 70
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import stream
+from .rng import _check_seed, stream
 
 __all__ = [
     "ModelConfig",
@@ -63,6 +63,7 @@ class ModelConfig:
             raise ValueError(f"normalization must be positive, got {self.normalization!r}")
         if not self.component_range > 0:
             raise ValueError(f"component_range must be positive, got {self.component_range!r}")
+        object.__setattr__(self, "base_seed", _check_seed(self.base_seed))
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,13 @@ def _as_u64(part: int | str) -> int:
     raise TypeError(f"seed parts must be int or str, got {type(part).__name__}")
 
 
+def _check_seed(value) -> int:
+    """``value`` as a base seed: an integer in [0, 2**64), the range it hashes as."""
+    if not isinstance(value, (int, np.integer)) or not 0 <= value <= _MASK64:
+        raise ValueError(f"base_seed must be an integer in [0, 2**64), got {value!r}")
+    return int(value)
+
+
 def derive_seed(base_seed: int, *parts: int | str) -> int:
     """Hash ``(base_seed, *parts)`` into one 64-bit stream seed."""
     state = _splitmix64(_as_u64(base_seed))

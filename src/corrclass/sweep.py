@@ -21,20 +21,17 @@ from functools import cache, cached_property, partial
 import numpy as np
 
 from .analysis import SimilarityReport, similarity_report
-from .rng import derive_seed, stream
+from .rng import _check_seed, derive_seed, stream
 from .sequences import FAMILY_SIZE, random_probes, reference_family
 
 __all__ = [
-    "SWEEP_VARIABLES",
     "DEFAULT_TRACKED_PAIRS",
-    "CSV_HEADER",
     "FIGURE_PRESETS",
     "SweepConfig",
     "SweepResult",
     "run_realization",
     "run_sweep",
     "figure_preset",
-    "format_pair",
     "write_sweep_csv",
     "write_plot_table",
 ]
@@ -106,6 +103,7 @@ class SweepConfig:
         pairs = tuple((_as_int("pairs", i), _as_int("pairs", j)) for i, j in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "realizations", _as_int("realizations", self.realizations))
+        object.__setattr__(self, "base_seed", _check_seed(self.base_seed))
         if not self.grid:
             raise ValueError("grid must be nonempty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):

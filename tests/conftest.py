@@ -1,4 +1,7 @@
-"""Shared test plumbing: collect acceptance verdicts and show them at the end.
+"""Shared test plumbing: the stock figures, and the acceptance verdicts.
+
+The three stock sweeps run once per session, at their preset scale, and
+both the acceptance criteria and the pinned output bytes read them.
 
 pytest's default fd-level capture swallows anything a passing test prints,
 so the acceptance tests register their ``CRITERION n: PASS/FAIL`` lines here
@@ -6,7 +9,26 @@ and a terminal-summary hook replays the full verdict table after capture is
 torn down — every run of the suite ends with one line per criterion.
 """
 
+import pytest
+
+from corrclass.sweep import figure_preset, run_sweep
+
 VERDICTS: list[str] = []
+
+
+@pytest.fixture(scope="session")
+def fig1():
+    return run_sweep(figure_preset(1))
+
+
+@pytest.fixture(scope="session")
+def fig2():
+    return run_sweep(figure_preset(2))
+
+
+@pytest.fixture(scope="session")
+def fig3():
+    return run_sweep(figure_preset(3))
 
 
 def record_verdict(line: str) -> None:

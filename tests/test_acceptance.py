@@ -55,21 +55,6 @@ def verdict(criterion, passed, detail):
     return bool(passed)
 
 
-@pytest.fixture(scope="module")
-def fig1():
-    return run_sweep(figure_preset(1))
-
-
-@pytest.fixture(scope="module")
-def fig2():
-    return run_sweep(figure_preset(2))
-
-
-@pytest.fixture(scope="module")
-def fig3():
-    return run_sweep(figure_preset(3))
-
-
 def test_criterion_1_errors_diminish_with_sample_length(fig1):
     ok = True
     details = []

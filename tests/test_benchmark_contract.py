@@ -8,10 +8,13 @@ it.
 """
 
 import importlib
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
+import corrclass
 from corrclass import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -36,3 +39,14 @@ def test_every_span_fires_and_records(tracing, tmp_path, capsys):
             assert len(values[name]) == calls[name], f"span {name} recorded no value"
     # 8 samples x 6 probes x (W - L + 1) offsets x L positions, over W = 8 and 12
     assert sum(values["sequences.match_matrix"]) == 8 * 6 * ((8 - 3 + 1) * 3 + (12 - 3 + 1) * 3)
+
+
+def test_every_package_name_perfbench_uses_is_exported():
+    submodules = {info.name for info in pkgutil.iter_modules(corrclass.__path__)}
+    used = {
+        name
+        for script in ("checks.py", "tracing.py", "run.py")
+        for name in re.findall(r"\bcorrclass\.(\w+)", (PERFBENCH / script).read_text())
+    }
+    assert used, "no corrclass.<name> found in perfbench"
+    assert sorted(used - set(corrclass.__all__) - submodules) == []

@@ -72,6 +72,15 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(n_individuals=2, n_products=2, n_components=2, component_range=-1.0)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64])
+    def test_rejects_seed_outside_u64(self, seed):
+        with pytest.raises(ValueError, match="base_seed"):
+            ModelConfig(2, 2, 2, base_seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_accepts_u64_seed_bounds(self, seed):
+        assert ModelConfig(2, 2, 2, base_seed=seed).base_seed == seed
+
 
 class TestGeneratePopulation:
     def test_deterministic_under_fixed_seed(self):

@@ -98,6 +98,15 @@ class TestSweepConfig:
             tiny_config(realizations=2.5)
         assert tiny_config(realizations=np.int64(2)).realizations == 2
 
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64])
+    def test_rejects_seed_outside_u64(self, seed):
+        with pytest.raises(ValueError, match="base_seed"):
+            tiny_config(base_seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_accepts_u64_seed_bounds(self, seed):
+        assert tiny_config(base_seed=seed).base_seed == seed
+
     def test_rejects_bad_pairs(self):
         with pytest.raises(ValueError, match="pairs"):
             tiny_config(pairs=())
