@@ -38,35 +38,24 @@ def write_fasta(records, target) -> None:
 
 
 def _read_handle(handle: TextIO) -> list[tuple[str, str]]:
-    records: list[tuple[str, str]] = []
-    name: str | None = None
-    chunks: list[str] = []
-
-    def flush() -> None:
-        if name is None:
-            return
-        seq = "".join(chunks)
-        _batch((seq,))
-        records.append((name, seq))
-
+    records: list[tuple[str, list[str]]] = []
     for raw in handle:
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith(">"):
-            flush()
-            name = line[1:].split()[0] if line[1:].strip() else ""
+            name = line[1:].split()
             if not name:
                 raise ValueError("FASTA header has no name")
-            chunks = []
-        else:
-            if name is None:
+            records.append((name[0], []))
+        elif line:
+            if not records:
                 raise ValueError(f"sequence data before any header: {line!r:.40}")
-            chunks.append(line)
-    flush()
+            records[-1][1].append(line)
     if not records:
         raise ValueError("no FASTA records found")
-    return records
+    joined = [(name, "".join(chunks)) for name, chunks in records]
+    for _, seq in joined:
+        _batch((seq,))
+    return joined
 
 
 def read_fasta(source) -> list[tuple[str, str]]:

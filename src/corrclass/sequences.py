@@ -320,18 +320,25 @@ def overlap(x: str, y: str, k: int) -> float:
     return len(x_kmers & y_kmers) / windows
 
 
-def _packed_windows(codes: np.ndarray, length: int) -> np.ndarray:
-    """Every length-``length`` window of each code row as one ``uint64``, 2 bits a base.
+def _window_keys(codes: np.ndarray, length: int) -> np.ndarray:
+    """Every length-``length`` window of each code row as one exact integer key.
 
-    Exact for ``length <= 32``, because 4**32 = 2**64.  Each step joins the
-    keys ``shift <= span`` apart into keys of ``span + shift`` bases: the
-    bases the two share land on the same bits, so doubling reaches
-    ``length`` in about log2(length) shifted ORs, not one pass per base.
+    Each step joins the keys ``shift <= span`` apart into keys of ``span +
+    shift`` bases, about log2(length) steps.  Up to 32 bases a key is the
+    window's 2 bits a base in a ``uint64`` (4**32 = 2**64), joined by a
+    shifted OR.  Past that, keys are renumbered to dense ids and two join as
+    ``left * (ids.max() + 1) + right``: the span-windows at offsets 0 and
+    ``shift`` cover the joined one, so equal pairs mean equal windows, and
+    the int64 product fits while there are fewer than 2**31 windows.
     """
     keys, span = codes.astype(np.uint64), 1
     while span < length:
         shift = min(span, length - span)
-        keys = (keys[:, :-shift] << np.uint64(2 * shift)) | keys[:, shift:]
+        if span + shift <= 32:
+            keys = (keys[:, :-shift] << np.uint64(2 * shift)) | keys[:, shift:]
+        else:
+            ids = np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
+            keys = ids[:, :-shift] * (ids.max() + 1) + ids[:, shift:]
         span += shift
     return keys
 
@@ -340,21 +347,14 @@ def overlap_matrix(samples, k: int) -> np.ndarray:
     """Pairwise k-mer overlap of the samples.
 
     Entry (i, j) equals ``overlap(samples[i], samples[j], k)``, counted for
-    every pair at once from one numbering of all samples' window keys.  A
-    key is ``ceil(k / 32)`` exact ``uint64`` words of ``min(32, k)`` bases,
-    at offsets 0, 32, ... of the window and one ending at its last base, so
-    the last two may overlap; the counts need only key equality, not order.
-    Diagonal entries are self-overlaps, which fall below 1 when a sequence
-    repeats one of its length-k windows.
+    every pair at once from one numbering of all samples' window keys; the
+    counts need only key equality, not order.  Diagonal entries are
+    self-overlaps, which fall below 1 when a sequence repeats one of its
+    length-k windows.
     """
     codes = _codes(samples)
     windows = _window_count(codes.shape[1], k)
-    packed = _packed_windows(codes, min(32, k))
-    starts = [*range(0, k - 32, 32), max(0, k - 32)]
-    words = np.stack([packed[:, start : start + windows] for start in starts], axis=-1)
-    words = words.reshape(-1, len(starts))
-    # one word sorts as a number, more as one byte string per window
-    keys = words[:, 0] if words.shape[1] == 1 else words.view(f"V{8 * words.shape[1]}")[:, 0]
+    keys = _window_keys(codes, k).reshape(-1)
     order = np.argsort(keys)
     keys, rows = keys[order], order // windows
     key_ids = np.concatenate(([0], np.cumsum(keys[1:] != keys[:-1])))

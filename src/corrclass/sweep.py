@@ -200,6 +200,7 @@ def run_realization(
     The family and the probes come from separate streams of ``seed``, so
     either can be regenerated on its own.
     """
+    _check_seed(seed)
     family = reference_family(sample_length, stream(seed, "family"))
     probes = random_probes(n_probes, probe_length, stream(seed, "probes"))
     return similarity_report(family, probes)

@@ -39,9 +39,10 @@ def oracle_overlap_matrix(samples, k):
 @st.composite
 def overlap_case(draw):
     """Equal-length samples and a k; the two-letter alphabet repeats windows,
-    and widths up to 70 let k cross the 32- and 64-base word boundaries."""
+    and widths up to 140 let k cross one, two and three joins of window ids
+    (past 32, 64 and 128 bases)."""
     alphabet = draw(st.sampled_from(["ACGT", "AC"]))
-    width = draw(st.integers(1, 70))
+    width = draw(st.integers(1, 140))
     sample = st.text(alphabet, min_size=width, max_size=width)
     return draw(st.lists(sample, min_size=1, max_size=6)), draw(st.integers(1, width))
 
@@ -125,13 +126,20 @@ class TestOverlapMatrix:
 
     @settings(deadline=None)
     @given(overlap_case())
-    # windows of one and two 32-base words, which differ only in their last base
+    # the widest bit-packed keys and the first id join, at windows that
+    # differ only in their last base
     @example((["A" * 40, "A" * 39 + "C", "ACGT" * 10], 32))
     @example((["A" * 40, "A" * 39 + "C", "ACGT" * 10], 33))
     @example((["A" * 40, "A" * 39 + "C", "ACGT" * 10], 34))
-    # two and three words, whose windows differ in a word's last or first base
+    # one and two id joins, at windows that differ in a 32-base half's last
+    # or first base
     @example((["T" * 70, "T" * 64 + "G" * 6, "AC" * 35], 64))
     @example((["T" * 70, "T" * 64 + "G" * 6, "AC" * 35], 65))
+    # one, two and three id joins, at windows that differ in their first or
+    # last base only
+    @example((["C" + "A" * 139, "A" * 140, "A" * 139 + "C", "AC" * 70], 33))
+    @example((["C" + "A" * 139, "A" * 140, "A" * 139 + "C", "AC" * 70], 97))
+    @example((["C" + "A" * 139, "A" * 140, "A" * 139 + "C", "AC" * 70], 129))
     def test_property_equals_pairwise_oracle(self, case):
         samples, k = case
         assert np.array_equal(overlap_matrix(samples, k), oracle_overlap_matrix(samples, k))

@@ -176,6 +176,13 @@ class TestRunRealization:
             assert np.all(report.error >= 0.0)
             assert np.all(report.error <= 2.0)
 
+    def test_seed_must_lie_in_the_hashed_range(self):
+        # derive_seed alone would give -1 the stream of 2**64 - 1
+        for seed in (-1, 2**64, 1.5):
+            with pytest.raises(ValueError, match="base_seed"):
+                run_realization(40, 8, 8, seed)
+        assert run_realization(40, 8, 8, 2**64 - 1).error.shape == (8, 8)
+
 
 @pytest.fixture(scope="module")
 def tiny_result():
