@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .fasta import write_fasta
+from .fasta import _write_lines, write_fasta
 from .opinions import (
     ModelConfig,
     choose_k,
@@ -33,7 +33,7 @@ from .sweep import (
     SWEEP_VARIABLES,
     SweepConfig,
     _check_jobs,
-    _write_lines,
+    _format_float,
     run_realization,
     run_sweep,
     write_plot_table,
@@ -127,13 +127,14 @@ def _settings(entries, keys=_CONFIG_KEYS) -> dict:
 
 
 def read_config(path) -> dict:
-    """Parse a flat ``key = value`` override file with ``#`` comments.
+    """Parse a flat ``key = value`` override file; ``#`` comments may hold any text.
 
     Returns SweepConfig fields (``w``, ``m`` and ``l`` under their field
     names).  Values are converted here, so a bad one is reported with its
     ``path:lineno``, and a key set twice is refused.
     """
-    with open(path, "r", encoding="ascii") as handle:
+    # a non-ASCII byte becomes a lone surrogate, which no key or value accepts
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         lines = [(f"{path}:{n}", raw.split("#", 1)[0]) for n, raw in enumerate(handle, 1)]
     return _settings(_entry(where, line) for where, line in lines if line.strip())
 
@@ -148,15 +149,15 @@ def _run_and_write(fields: dict, args, default_out: str) -> int:
     if args.config:
         fields.update(read_config(args.config))
     config = SweepConfig(**fields)
-    # before the sinks: opening them truncates old outputs
+    # before the probe below, which may create the outputs
     _check_jobs(args.jobs)
     out = args.out or default_out
-    # open both sinks before the sweep so a bad path fails in milliseconds
-    with open(out, "w", encoding="ascii", newline="") as csv_handle:
-        with open(_plot_path(out), "w", encoding="ascii", newline="") as plot_handle:
-            result = run_sweep(config, jobs=args.jobs)
-            write_sweep_csv(result, csv_handle)
-            write_plot_table(result, plot_handle)
+    # a bad path fails in milliseconds; "a" creates a file but never truncates it
+    for path in (out, _plot_path(out)):
+        open(path, "a").close()
+    result = run_sweep(config, jobs=args.jobs)
+    write_sweep_csv(result, out)
+    write_plot_table(result, _plot_path(out))
     return 0
 
 
@@ -176,22 +177,20 @@ def _cmd_sweep(args) -> int:
     return _run_and_write(fields, args, "sweep.csv")
 
 
-def _write_matrix_csv(matrix, path: str) -> None:
+def _matrix_lines(matrix) -> list[str]:
     lines = ["," + ",".join(str(j) for j in range(matrix.shape[1]))]
-    for i in range(matrix.shape[0]):
-        lines.append(str(i) + "," + ",".join(format(v, ".6g") for v in matrix[i]))
-    _write_lines(lines, path)
+    lines.extend(f"{i}," + ",".join(map(_format_float, row)) for i, row in enumerate(matrix))
+    return lines
 
 
 def _cmd_matrices(args) -> int:
     report = run_realization(args.w, args.m, args.l, args.seed)
     prefix = args.out or "matrices"
-    for suffix, matrix in (
-        ("correlation", report.correlation),
-        ("overlap", report.overlap),
-        ("error", report.error),
-    ):
-        _write_matrix_csv(matrix, f"{prefix}_{suffix}.csv")
+    # all three tables are formatted, and so checked, before the first is written
+    names = ("correlation", "overlap", "error")
+    tables = [_matrix_lines(getattr(report, name)) for name in names]
+    for name, lines in zip(names, tables):
+        _write_lines(lines, f"{prefix}_{name}.csv")
     return 0
 
 
@@ -218,11 +217,7 @@ def _cmd_opinions(args) -> int:
 
 def _cmd_gen_refs(args) -> int:
     family = reference_family(args.w, stream(args.seed, "family"))
-    records = [(f"seq{i}", seq) for i, seq in enumerate(family)]
-    if args.out:
-        write_fasta(records, args.out)
-    else:
-        write_fasta(records, sys.stdout)
+    write_fasta(((f"seq{i}", seq) for i, seq in enumerate(family)), args.out or sys.stdout)
     return 0
 
 

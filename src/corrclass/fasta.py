@@ -17,24 +17,37 @@ __all__ = ["read_fasta", "write_fasta"]
 LINE_WIDTH = 70
 
 
-def _write_handle(records, handle: TextIO) -> None:
+def _write_lines(lines, target) -> None:
+    """Write ``lines`` as ASCII, each ended by ``\\n`` on every platform.
+
+    The one writer of every text output, to a path or an open handle.
+    ``lines`` is the finished content, already checked in full; a path is
+    opened, and so truncated, only here, so a refused or failed run leaves
+    an existing file as it was.
+    """
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, "w", encoding="ascii", newline="") as handle:
+            handle.writelines(line + "\n" for line in lines)
+    else:
+        target.writelines(line + "\n" for line in lines)
+
+
+def write_fasta(records, target) -> None:
+    """Write ``(name, sequence)`` pairs as FASTA to a path or open handle.
+
+    Every record is checked before any is written.
+    """
+    records = list(records)
     for name, seq in records:
         if not name or any(ch.isspace() for ch in name):
             raise ValueError(f"record name must be nonempty without whitespace: {name!r}")
         _batch((seq,))
-        handle.write(f">{name}\n")
-        for start in range(0, len(seq), LINE_WIDTH):
-            handle.write(seq[start : start + LINE_WIDTH] + "\n")
-
-
-def write_fasta(records, target) -> None:
-    """Write ``(name, sequence)`` pairs as FASTA to a path or open handle."""
-    records = list(records)
-    if isinstance(target, (str, os.PathLike)):
-        with open(target, "w", encoding="ascii") as handle:
-            _write_handle(records, handle)
-    else:
-        _write_handle(records, target)
+    lines = (
+        line
+        for name, seq in records
+        for line in (f">{name}", *(seq[i : i + LINE_WIDTH] for i in range(0, len(seq), LINE_WIDTH)))
+    )
+    _write_lines(lines, target)
 
 
 def _read_handle(handle: TextIO) -> list[tuple[str, str]]:

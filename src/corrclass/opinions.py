@@ -106,15 +106,9 @@ def generate_population(config: ModelConfig) -> Population:
 
 
 def opinion_matrix(population, normalization: float) -> np.ndarray:
-    """Expressed opinions: ``normalization * tastes @ features.T``."""
-    tastes = np.asarray(population.tastes, dtype=float)
-    features = np.asarray(population.features, dtype=float)
-    if tastes.ndim != 2 or features.ndim != 2 or tastes.shape[1] != features.shape[1]:
-        raise ValueError(
-            f"taste / feature component counts differ: "
-            f"{tastes.shape} vs {features.shape}"
-        )
-    return normalization * (tastes @ features.T)
+    """Expressed opinions ``normalization * tastes @ features.T``, checked as a Population."""
+    population = Population(population.tastes, population.features)
+    return normalization * (population.tastes @ population.features.T)
 
 
 @dataclass(frozen=True)
@@ -169,16 +163,22 @@ def row_correlation(matrix) -> CorrelationMatrix:
     )
 
 
+def _operands(correlations, opinions) -> tuple[np.ndarray, np.ndarray]:
+    """Float ``(M, M)`` correlations and ``(M, N)`` opinions, or ValueError."""
+    c = np.asarray(correlations, dtype=float)
+    s = np.asarray(opinions, dtype=float)
+    if s.ndim != 2 or c.shape != (s.shape[0], s.shape[0]):
+        raise ValueError(f"correlation shape {c.shape} does not match opinions shape {s.shape}")
+    return c, s
+
+
 def predict(correlations, opinions, individual: int, product: int, k: float) -> float:
     """Predict one opinion from everybody else's, weighted by correlation.
 
     Returns ``(k / n_individuals) * sum_i C[individual, i] * S[i, product]``.
     """
-    c = np.asarray(correlations, dtype=float)
-    s = np.asarray(opinions, dtype=float)
+    c, s = _operands(correlations, opinions)
     n_individuals = s.shape[0]
-    if c.shape != (n_individuals, n_individuals):
-        raise ValueError(f"correlation shape {c.shape} does not match {n_individuals} individuals")
     if not 0 <= individual < n_individuals:
         raise IndexError(f"individual index {individual} out of range [0, {n_individuals})")
     if not 0 <= product < s.shape[1]:
@@ -188,10 +188,7 @@ def predict(correlations, opinions, individual: int, product: int, k: float) -> 
 
 def predict_matrix(correlations, opinions, k: float) -> np.ndarray:
     """All predictions at once: ``(k / n_individuals) * C @ S``."""
-    c = np.asarray(correlations, dtype=float)
-    s = np.asarray(opinions, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] != s.shape[0]:
-        raise ValueError(f"correlation shape {c.shape} does not match opinions shape {s.shape}")
+    c, s = _operands(correlations, opinions)
     return (k / s.shape[0]) * (c @ s)
 
 

@@ -21,6 +21,7 @@ from functools import cache, cached_property, partial
 import numpy as np
 
 from .analysis import SimilarityReport, similarity_report
+from .fasta import _write_lines
 from .rng import _check_seed, derive_seed, stream
 from .sequences import FAMILY_SIZE, random_probes, reference_family
 
@@ -321,14 +322,6 @@ def _row_fields(result: SweepResult):
                 _format_float(stds[grid_index, col]),
                 str(config.realizations),
             )
-
-
-def _write_lines(lines, target) -> None:
-    if isinstance(target, (str, os.PathLike)):
-        with open(target, "w", encoding="ascii", newline="") as handle:
-            handle.writelines(line + "\n" for line in lines)
-    else:
-        target.writelines(line + "\n" for line in lines)
 
 
 def write_sweep_csv(result: SweepResult, target) -> None:

@@ -24,6 +24,10 @@ TINY_CONFIG = dict(swept="W", grid=(8, 12), realizations=2, n_probes=25, probe_l
 SWEPT_CLASH = "sample_length (W) is swept and must not be set"
 
 
+def refuse_to_run(config, jobs):
+    raise AssertionError("run_sweep ran although an output cannot be written")
+
+
 def render_csv(config):
     buffer = io.StringIO()
     write_sweep_csv(run_sweep(config), buffer)
@@ -144,9 +148,16 @@ class TestSweepCommand:
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err
 
-    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+    def test_unwritable_out_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_sweep", refuse_to_run)
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert main(["sweep", *TINY, "--out", str(missing)]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_unwritable_plot_table_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_sweep", refuse_to_run)
+        (tmp_path / "x.dat").mkdir()
+        assert main(["sweep", *TINY, "--out", str(tmp_path / "x.csv")]) == 2
         assert "error" in capsys.readouterr().err
 
 
@@ -231,6 +242,43 @@ class TestFigureCommand:
         assert main([*command, "--jobs", "0", "--out", str(out)]) == 1
         assert out.read_text() == "csv sentinel\n"
         assert plot.read_text() == "dat sentinel\n"
+
+    @pytest.mark.parametrize("command", [["figure", "1"], ["sweep", *TINY]])
+    def test_bad_jobs_creates_no_output(self, tmp_path, command):
+        assert main([*command, "--jobs", "0", "--out", str(tmp_path / "f.csv")]) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [["figure", "1"], ["sweep", *TINY]])
+    def test_failed_sweep_leaves_existing_outputs(self, tmp_path, monkeypatch, capsys, command):
+        # no real allocation: the sweep fails as an out-of-memory one would
+        def refuse(config, jobs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        out, plot = tmp_path / "f.csv", tmp_path / "f.dat"
+        out.write_text("csv sentinel\n")
+        plot.write_text("dat sentinel\n")
+        assert main([*command, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
+        assert out.read_text() == "csv sentinel\n"
+        assert plot.read_text() == "dat sentinel\n"
+
+    def test_non_ascii_config_comment_is_ignored(self, tmp_path):
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_bytes("# tuned by José\nrealizations = 1\ngrid = 50\nm = 30  # ≈ 30\n".encode())
+        out = tmp_path / "x.csv"
+        assert main(["figure", "1", "--config", str(cfg), "--out", str(out)]) == 0
+        config = SweepConfig(
+            swept="W", grid=(50,), realizations=1, base_seed=42, n_probes=30, probe_length=30
+        )
+        assert out.read_text() == render_csv(config)
+
+    def test_non_ascii_config_value_reports_location(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes("# tuned by José\nm = \u0663\n".encode())
+        assert main(["figure", "1", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        expected = f"{cfg}:2: m must be an integer, got '\\udcd9\\udca3'"
+        assert expected in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, tmp_path):
         args = ["figure", "1", "--config", str(tmp_path / "absent.cfg")]

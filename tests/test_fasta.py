@@ -72,3 +72,17 @@ def test_write_rejects_bad_records(tmp_path):
         write_fasta([("bad name", "ACGT")], tmp_path / "x.fa")
     with pytest.raises(ValueError):
         write_fasta([("ok", "acgt")], tmp_path / "y.fa")
+
+
+def test_bad_record_leaves_existing_output(tmp_path):
+    records = [("a", "ACGT"), ("b", "ACGX")]
+    path = tmp_path / "f.fa"
+    path.write_text(">old\nTTTT\n")
+    with pytest.raises(ValueError, match="outside ACGT"):
+        write_fasta(records, path)
+    assert path.read_text() == ">old\nTTTT\n"
+    buffer = io.StringIO(">old\n")
+    buffer.seek(0, io.SEEK_END)
+    with pytest.raises(ValueError, match="outside ACGT"):
+        write_fasta(iter(records), buffer)
+    assert buffer.getvalue() == ">old\n"

@@ -1,4 +1,5 @@
-"""The stock figures' output bytes at seed 42, pinned.
+"""The stock figures' output bytes at seed 42, pinned, and those of the
+``matrices`` and ``gen-refs`` commands.
 
 Every sweep cell's seed depends only on its place in the grid, so the CSV
 and plot table of each stock figure are fixed bytes for a given seed and any
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 import corrclass
+from corrclass.cli import main
 from corrclass.sweep import write_plot_table, write_sweep_csv
 
 # sha256 of figure<n>.csv and figure<n>.dat written by `corrclass figure n --seed 42`
@@ -39,6 +41,14 @@ ERROR_DIGESTS = {
     3: "2324f3e9421260c6e241158d3b2246c94a713209318d64b146c096d60d6d41f1",
 }
 WRITERS = {"csv": write_sweep_csv, "dat": write_plot_table}
+# sha256 of each table of `corrclass matrices --w 200 --l 30 --m 500 --seed 3`
+MATRIX_DIGESTS = {
+    "correlation": "a8fb5fa7c9b8ab6f08e875f937eb9c6c5feb3b72ecd57a0456e36f246cfe0121",
+    "overlap": "ea4b88362e9914a0d187d030955d1c1c5c6441585f2e9748bcbfd6f5f3e8f94f",
+    "error": "c65d25306d15b467465560c0e4a366794eac75941b13e1cf563989adc387e87e",
+}
+# sha256 of `corrclass gen-refs --w 150 --seed 42`, to a file and to stdout
+FASTA_DIGEST = "81fd08e2db61afe1a01dd11a7bae1900c64dbd9cdc06b517e54407e278c38476"
 
 
 def sha256(data: bytes) -> str:
@@ -73,3 +83,18 @@ def test_pooled_cli_figure_bytes_are_pinned(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert sha256(out.read_bytes()) == DIGESTS[1, "csv"]
     assert sha256(out.with_suffix(".dat").read_bytes()) == DIGESTS[1, "dat"]
+
+
+def test_matrices_bytes_are_pinned(tmp_path):
+    argv = ["matrices", "--w", "200", "--l", "30", "--m", "500", "--seed", "3"]
+    assert main([*argv, "--out", str(tmp_path / "m")]) == 0
+    for name, digest in MATRIX_DIGESTS.items():
+        assert sha256((tmp_path / f"m_{name}.csv").read_bytes()) == digest, name
+
+
+def test_gen_refs_bytes_are_pinned(tmp_path, capsysbinary):
+    out = tmp_path / "refs.fa"
+    assert main(["gen-refs", "--w", "150", "--seed", "42", "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == FASTA_DIGEST
+    assert main(["gen-refs", "--w", "150", "--seed", "42"]) == 0
+    assert sha256(capsysbinary.readouterr().out) == FASTA_DIGEST

@@ -153,6 +153,15 @@ class TestOpinionMatrix:
         with pytest.raises(ValueError):
             opinion_matrix(Raw(), 1.0)
 
+    @pytest.mark.parametrize("tastes, features", [((0, 3), (2, 3)), ((2, 3), (0, 3))])
+    def test_empty_population_rejected(self, tastes, features):
+        class Raw:
+            pass
+
+        Raw.tastes, Raw.features = np.ones(tastes), np.ones(features)
+        with pytest.raises(ValueError, match="at least one"):
+            opinion_matrix(Raw(), 1.0)
+
 
 @st.composite
 def correlation_input(draw):
@@ -329,6 +338,12 @@ class TestPredict:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             predict_matrix(np.eye(3), np.zeros((4, 2)), k=1.0)
+
+    def test_one_dimensional_opinions_rejected(self):
+        with pytest.raises(ValueError, match="does not match"):
+            predict(np.eye(3), np.ones(3), 0, 0, 2.0)
+        with pytest.raises(ValueError, match="does not match"):
+            predict_matrix(np.eye(3), np.ones(3), 2.0)
 
 
 class TestChooseK:
