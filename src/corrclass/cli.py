@@ -32,7 +32,6 @@ from .sweep import (
     FIGURE_PRESETS,
     SWEEP_VARIABLES,
     SweepConfig,
-    _check_jobs,
     _format_float,
     run_realization,
     run_sweep,
@@ -144,17 +143,24 @@ def _plot_path(csv_path: str) -> str:
     return root + ".dat" if ext.lower() == ".csv" else csv_path + ".dat"
 
 
+def _probe(*paths) -> None:
+    """Fail before the run on an output path that cannot be written; "a" never
+    truncates, and a file the probe created is removed, so a failed run leaves none."""
+    for path in paths:
+        existed = os.path.exists(path)
+        open(path, "a").close()
+        if not existed:
+            # the created file, not a dangling symlink that led to it
+            os.remove(os.path.realpath(path))
+
+
 def _run_and_write(fields: dict, args, default_out: str) -> int:
     """Merge the config file over ``fields``, build the one SweepConfig, run it."""
     if args.config:
         fields.update(read_config(args.config))
     config = SweepConfig(**fields)
-    # before the probe below, which may create the outputs
-    _check_jobs(args.jobs)
     out = args.out or default_out
-    # a bad path fails in milliseconds; "a" creates a file but never truncates it
-    for path in (out, _plot_path(out)):
-        open(path, "a").close()
+    _probe(out, _plot_path(out))
     result = run_sweep(config, jobs=args.jobs)
     write_sweep_csv(result, out)
     write_plot_table(result, _plot_path(out))
@@ -184,13 +190,14 @@ def _matrix_lines(matrix) -> list[str]:
 
 
 def _cmd_matrices(args) -> int:
-    report = run_realization(args.w, args.m, args.l, args.seed)
-    prefix = args.out or "matrices"
-    # all three tables are formatted, and so checked, before the first is written
     names = ("correlation", "overlap", "error")
+    paths = [f"{args.out or 'matrices'}_{name}.csv" for name in names]
+    _probe(*paths)
+    report = run_realization(args.w, args.m, args.l, args.seed)
+    # all three tables are formatted, and so checked, before the first is written
     tables = [_matrix_lines(getattr(report, name)) for name in names]
-    for name, lines in zip(names, tables):
-        _write_lines(lines, f"{prefix}_{name}.csv")
+    for path, lines in zip(paths, tables):
+        _write_lines(lines, path)
     return 0
 
 

@@ -39,8 +39,8 @@ def write_fasta(records, target) -> None:
     """
     records = list(records)
     for name, seq in records:
-        if not name or any(ch.isspace() for ch in name):
-            raise ValueError(f"record name must be nonempty without whitespace: {name!r}")
+        if not name or not name.isascii() or any(ch.isspace() for ch in name):
+            raise ValueError(f"record name must be nonempty ASCII without whitespace: {name!r}")
         _batch((seq,))
     lines = (
         line

@@ -15,6 +15,7 @@ import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 
@@ -37,7 +38,9 @@ __all__ = [
     "write_plot_table",
 ]
 
-SWEEP_VARIABLES = ("W", "M", "L")
+# the sweep variables, in (W, M, L) order, and the SweepConfig field of each
+_FIXED_FIELD = {"W": "sample_length", "M": "n_probes", "L": "probe_length"}
+SWEEP_VARIABLES = tuple(_FIXED_FIELD)
 DEFAULT_TRACKED_PAIRS = ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (6, 7))
 CSV_HEADER = "sweep_var,value,pair,mean_error,std_error,realizations"
 
@@ -66,8 +69,6 @@ FIGURE_PRESETS = {
     },
 }
 
-_FIXED_FIELD = {"W": "sample_length", "M": "n_probes", "L": "probe_length"}
-
 
 def format_pair(pair: tuple[int, int]) -> str:
     return f"{pair[0]}-{pair[1]}"
@@ -83,8 +84,8 @@ def _as_int(field: str, value) -> int:
 class SweepConfig:
     """One sweep: which variable moves, its grid, and everything held fixed.
 
-    The field named by ``swept`` (via W -> sample_length, M -> n_probes,
-    L -> probe_length) must be left None; the other two must be set.  Every
+    The field that ``_FIXED_FIELD`` gives for ``swept`` must be left None;
+    the other two must be set.  Every
     grid point is checked up front so a sweep never dies halfway through.
     """
 
@@ -125,7 +126,7 @@ class SweepConfig:
         swept_field = _FIXED_FIELD[self.swept]
         if getattr(self, swept_field) is not None:
             raise ValueError(f"{swept_field} ({self.swept}) is swept and must not be set")
-        for name in ("sample_length", "n_probes", "probe_length"):
+        for name in _FIXED_FIELD.values():
             if name == swept_field:
                 continue
             if getattr(self, name) is None:
@@ -150,13 +151,10 @@ class SweepConfig:
 
     def params_at(self, value: int) -> tuple[int, int, int]:
         """(sample_length, n_probes, probe_length) with the swept slot filled."""
-        filled = {
-            "sample_length": self.sample_length,
-            "n_probes": self.n_probes,
-            "probe_length": self.probe_length,
-        }
-        filled[_FIXED_FIELD[self.swept]] = int(value)
-        return filled["sample_length"], filled["n_probes"], filled["probe_length"]
+        return tuple(
+            int(value) if var == self.swept else getattr(self, name)
+            for var, name in _FIXED_FIELD.items()
+        )
 
 
 @dataclass(frozen=True)
@@ -183,7 +181,7 @@ class SweepResult:
 
     def series(self, pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(grid values, mean errors, std errors) for one tracked pair."""
-        pair = (int(pair[0]), int(pair[1]))
+        pair = (_as_int("pair", pair[0]), _as_int("pair", pair[1]))
         pairs = self.config.pairs
         # the error matrix is symmetric, so (j, i) names the column of (i, j)
         col = next((col for col, tracked in enumerate(pairs) if set(tracked) == set(pair)), None)
@@ -245,27 +243,17 @@ def _pair_errors(pairs: tuple[tuple[int, int], ...], cell: tuple[int, ...]) -> t
 
     The cell runs on one OpenBLAS thread, in a pool worker or in process: its
     small products run faster on one, and ``jobs`` workers do not each start
-    a BLAS thread per CPU.  The count it found is restored after.
+    a BLAS thread per CPU.  The count it found is restored after; without
+    OpenBLAS, getting and setting it do nothing.
     """
-    threads = _openblas_threads()
-    if threads is None:
+    get_threads, set_threads = _openblas_threads() or (lambda: 0, lambda count: None)
+    before = get_threads()
+    set_threads(1)
+    try:
         report = run_realization(*cell)
-    else:
-        get_threads, set_threads = threads
-        before = get_threads()
-        set_threads(1)
-        try:
-            report = run_realization(*cell)
-        finally:
-            set_threads(before)
+    finally:
+        set_threads(before)
     return tuple(float(report.error[i, j]) for i, j in pairs)
-
-
-def _check_jobs(jobs) -> int:
-    jobs = _as_int("jobs", jobs)
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
-    return jobs
 
 
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
@@ -274,23 +262,26 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     The seed of each cell depends only on (base_seed, grid value,
     realization index), and ``map`` returns the cells in the order given,
     so the output is identical for any ``jobs``.  ``jobs`` above 1 starts
-    at most ``os.cpu_count()`` worker processes.
+    at most ``os.cpu_count()`` worker processes.  The result is allocated
+    first, so a size that cannot be held fails before any cell runs.
     """
-    jobs = _check_jobs(jobs)
-    cells = [
+    jobs = _as_int("jobs", jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
+    errors = np.empty((len(config.grid), config.realizations, len(config.pairs)))
+    rows = errors.reshape(-1, len(config.pairs))
+    cells = (
         (*config.params_at(value), derive_seed(config.base_seed, value, realization))
         for value in config.grid
         for realization in range(config.realizations)
-    ]
+    )
     task = partial(_pair_errors, config.pairs)
-    if jobs == 1:
-        rows = list(map(task, cells))
-    else:
-        # real pool even on one CPU so schedule independence is exercised
-        workers = min(jobs, len(cells), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(task, cells, chunksize=8))
-    errors = np.array(rows).reshape(len(config.grid), config.realizations, len(config.pairs))
+    # real pool even on one CPU so schedule independence is exercised
+    workers = min(jobs, len(rows), os.cpu_count() or 1)
+    with nullcontext() if jobs == 1 else ProcessPoolExecutor(max_workers=workers) as pool:
+        results = map(task, cells) if pool is None else pool.map(task, cells, chunksize=8)
+        for index, row in enumerate(results):
+            rows[index] = row
     return SweepResult(config=config, errors=errors)
 
 

@@ -4,9 +4,10 @@ import io
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from corrclass import cli
+from corrclass import cli, sweep
 from corrclass.cli import main
 from corrclass.fasta import read_fasta
 from corrclass.sweep import (
@@ -26,6 +27,15 @@ SWEPT_CLASH = "sample_length (W) is swept and must not be set"
 
 def refuse_to_run(config, jobs):
     raise AssertionError("run_sweep ran although an output cannot be written")
+
+
+def refuse_realization(*cell):
+    raise AssertionError("run_realization ran although an output cannot be written")
+
+
+def fail_sweep(config, jobs):
+    # no real allocation: the sweep fails as an out-of-memory one would
+    raise MemoryError("Unable to allocate 7.28 TiB")
 
 
 def render_csv(config):
@@ -159,6 +169,27 @@ class TestSweepCommand:
         (tmp_path / "x.dat").mkdir()
         assert main(["sweep", *TINY, "--out", str(tmp_path / "x.csv")]) == 2
         assert "error" in capsys.readouterr().err
+        # the probe removes the CSV it created before it failed on the .dat
+        assert [path.name for path in tmp_path.iterdir()] == ["x.dat"]
+
+    def test_unholdable_result_exits_1_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        def refuse(shape, *args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(sweep, "run_realization", refuse_realization)
+        # no real allocation: the result fails as an impossible size would
+        monkeypatch.setattr(np, "empty", refuse)
+        assert main(["sweep", *TINY, "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dangling_symlink_output_is_kept(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_sweep", fail_sweep)
+        link = tmp_path / "x.csv"
+        link.symlink_to(tmp_path / "target.csv")
+        assert main(["sweep", *TINY, "--out", str(link)]) == 1
+        assert link.is_symlink() and not link.exists()
+        assert [path.name for path in tmp_path.iterdir()] == ["x.csv"]
 
 
 class TestFigureCommand:
@@ -244,17 +275,14 @@ class TestFigureCommand:
         assert plot.read_text() == "dat sentinel\n"
 
     @pytest.mark.parametrize("command", [["figure", "1"], ["sweep", *TINY]])
-    def test_bad_jobs_creates_no_output(self, tmp_path, command):
+    def test_bad_jobs_creates_no_output(self, tmp_path, capsys, command):
         assert main([*command, "--jobs", "0", "--out", str(tmp_path / "f.csv")]) == 1
+        assert capsys.readouterr().err == "error: jobs must be positive, got 0\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", [["figure", "1"], ["sweep", *TINY]])
     def test_failed_sweep_leaves_existing_outputs(self, tmp_path, monkeypatch, capsys, command):
-        # no real allocation: the sweep fails as an out-of-memory one would
-        def refuse(config, jobs):
-            raise MemoryError("Unable to allocate 7.28 TiB")
-
-        monkeypatch.setattr(cli, "run_sweep", refuse)
+        monkeypatch.setattr(cli, "run_sweep", fail_sweep)
         out, plot = tmp_path / "f.csv", tmp_path / "f.dat"
         out.write_text("csv sentinel\n")
         plot.write_text("dat sentinel\n")
@@ -262,6 +290,13 @@ class TestFigureCommand:
         assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
         assert out.read_text() == "csv sentinel\n"
         assert plot.read_text() == "dat sentinel\n"
+
+    @pytest.mark.parametrize("command", [["figure", "1"], ["sweep", *TINY]])
+    def test_failed_sweep_creates_no_output(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setattr(cli, "run_sweep", fail_sweep)
+        assert main([*command, "--out", str(tmp_path / "f.csv")]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_ascii_config_comment_is_ignored(self, tmp_path):
         cfg = tmp_path / "fast.cfg"
@@ -319,6 +354,17 @@ class TestMatricesCommand:
         args = ["matrices", "--w", "8", "--l", "12", "--m", "10"]
         assert main(args + ["--out", str(tmp_path / "t")]) == 1
         assert capsys.readouterr().err
+
+    def test_bad_later_path_is_found_before_the_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_realization", refuse_realization)
+        first = tmp_path / "t_correlation.csv"
+        first.write_text("old table\n")
+        (tmp_path / "t_overlap.csv").mkdir()
+        args = ["matrices", "--w", "40", "--l", "8", "--m", "20", "--out", str(tmp_path / "t")]
+        assert main(args) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert first.read_text() == "old table\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [first.name, "t_overlap.csv"]
 
     def test_short_sample_exits_1(self, tmp_path):
         args = ["matrices", "--w", "4", "--l", "2", "--m", "10"]

@@ -86,3 +86,16 @@ def test_bad_record_leaves_existing_output(tmp_path):
     with pytest.raises(ValueError, match="outside ACGT"):
         write_fasta(iter(records), buffer)
     assert buffer.getvalue() == ">old\n"
+
+
+def test_non_ascii_name_writes_nothing(tmp_path):
+    records = [("a", "ACGT"), ("b\u00e9", "ACGT")]
+    path = tmp_path / "f.fa"
+    path.write_text(">old\nTTTT\n")
+    with pytest.raises(ValueError, match="ASCII"):
+        write_fasta(records, path)
+    assert path.read_text() == ">old\nTTTT\n"
+    buffer = io.StringIO()
+    with pytest.raises(ValueError, match="ASCII"):
+        write_fasta(records, buffer)
+    assert buffer.getvalue() == ""

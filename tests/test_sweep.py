@@ -4,6 +4,7 @@ import io
 import math
 import multiprocessing
 import os
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from types import SimpleNamespace
@@ -262,6 +263,42 @@ class TestRunSweep:
                 run_sweep(tiny_config(), jobs=bad)
         assert np.array_equal(run_sweep(tiny_config(), jobs=np.int64(1)).errors, tiny_result.errors)
 
+    def test_parent_holds_little_more_than_the_result(self, monkeypatch):
+        # a stand-in cell, so only the parent's own bookkeeping is measured
+        report = SimpleNamespace(error=np.zeros((8, 8)))
+        monkeypatch.setattr(sweep, "run_realization", lambda *cell: report)
+        tracemalloc.start()
+        try:
+            result = run_sweep(tiny_config(realizations=10_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 20,000 cells of 6 pairs; rows of Python floats cost about 9x this
+        assert result.errors.nbytes == 20_000 * 6 * 8
+        assert peak <= 2 * result.errors.nbytes
+
+    def test_result_is_allocated_before_any_cell(self, monkeypatch):
+        ran = []
+
+        def refuse(shape, *args, **kwargs):
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+        monkeypatch.setattr(sweep, "run_realization", lambda *cell: ran.append(cell))
+        # no real allocation: the result fails as an impossible size would
+        monkeypatch.setattr(np, "empty", refuse)
+        with pytest.raises(MemoryError, match=r"shape \(2, 3, 6\)"):
+            run_sweep(tiny_config())
+        assert ran == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cells_run_without_openblas(self, tiny_result, monkeypatch, jobs):
+        # forked workers inherit the patched lookup
+        fork = multiprocessing.get_context("fork")
+        pool = partial(ProcessPoolExecutor, mp_context=fork)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(sweep, "_openblas_threads", lambda: None)
+        assert np.array_equal(run_sweep(tiny_config(), jobs=jobs).errors, tiny_result.errors)
+
     @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
     def test_workers_capped_at_cpu_count(self, tiny_result, monkeypatch, cpus, workers):
         # a fake pool records the worker count and maps in-process, so no
@@ -355,6 +392,13 @@ class TestRunSweep:
         for untracked in ((1, 2), (2, 1), (5, 6)):
             with pytest.raises(ValueError, match="not tracked"):
                 tiny_result.series(untracked)
+
+    def test_series_refuses_non_integer_indices(self, tiny_result):
+        for bad in ((0, 1.9), (0, "1")):
+            with pytest.raises(ValueError, match="pair: expected an integer"):
+                tiny_result.series(bad)
+        for got, want in zip(tiny_result.series((np.int64(1), 0)), tiny_result.series((0, 1))):
+            assert np.array_equal(got, want)
 
 
 class TestFigurePresets:
