@@ -154,9 +154,10 @@ def row_correlation(matrix) -> CorrelationMatrix:
     values /= np.outer(safe, safe)
     np.clip(values, -1.0, 1.0, out=values)
     np.fill_diagonal(values, 1.0)
-    if degenerate.any():
-        values[degenerate, :] = 0.0
-        values[:, degenerate] = 0.0
+    if not degenerate.any():
+        return CorrelationMatrix(values=values, degenerate_rows=())
+    values[degenerate, :] = 0.0
+    values[:, degenerate] = 0.0
     return CorrelationMatrix(
         values=values,
         degenerate_rows=tuple(int(i) for i in np.flatnonzero(degenerate)),

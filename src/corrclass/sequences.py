@@ -46,6 +46,32 @@ _COMPLEMENTS = 3 - _BASES
 # cap on one block's scratch: the kernel's float32 probe rows, window rows
 # and product, or the float64 presence columns of overlap_matrix
 _CHUNK_BYTES = 1 << 20
+# GEMM work per window row, 4L multiply-adds for each of M probes, from which
+# the kernel scores only the windows outside copied runs (_run_match), when a
+# sample also holds at least 3L windows.  Runs against the offset scan, at one
+# BLAS thread on reference families (best of 45 calls, mean of seeds 0-2):
+# - W = 200: 1.16x the time at 4LM = 10,000 (M = 500, L = 5), 0.91-1.08x at
+#   20,000, 0.80-1.05x at 30,000 (losing at M <= 300), 0.76-0.97x at 40,000
+#   (M = 250..1000) and 0.68-0.74x at 60,000 to 120,000;
+# - from 40,000 on, below 3L windows a sample: 0.82-1.36x, losing in 13 of 29
+#   cells over two sittings (figure 1's W = 50, L = 30: 1.03-1.36x; W = 130..149,
+#   L = 50: 1.07-1.16x), as a family's copied pieces, W/3 to W/2 bases long,
+#   then hold few runs;
+# - from 40,000 on, at 3L windows or more: 0.56-0.95x in 39 of 40 cells, among
+#   them figure 1's W = 150..300 (L = 30, M = 500) at 0.72-0.95x, figure 2's
+#   M = 500..1000 (W = 150, L = 20) at 0.64-0.83x and figure 3's L = 10..50 at
+#   0.56-0.75x; the one loss, 1.05x, was W = 160, L = 40, M = 500.  Means
+#   over 150 fresh families, in alternating order, agree: 0.57-0.92x in nine
+#   such cells, and 0.97-1.04x at 3.0L windows with M = 500 (W = 120, L = 30;
+#   W = 160, L = 40).
+# Many-cells (4LM <= 1,024) and long-records (800) stay below it.  A sample
+# with no copied runs pays the numbering for nothing: one random 200,000-base
+# sample against 200 probes of L = 50 takes 1.5x the offset scan's time.
+_RUN_WORK = 40_000
+# a repeated window reuses the product row of an earlier one only inside a
+# copied run of at least this many windows; shorter repeats, such as random
+# 5-mers, get rows of their own, so they do not cut the runs into small slices
+_MIN_RUN = 12
 
 
 def _batch(seqs) -> tuple[tuple[str, ...], np.ndarray]:
@@ -247,21 +273,24 @@ def match_matrix(samples, probes) -> np.ndarray:
     Complemented probes and sample windows become one-hot rows of length
     4L, so a matrix product counts the pairing positions of every (probe,
     offset) pair.  Each count is a sum of 0/1 products, an integer <= L <
-    2**24, so float32 gives it exactly in any summation order.
+    2**24, so float32 gives it exactly in any summation order.  When the
+    product's work per window row, 4L times the probe count, reaches
+    ``_RUN_WORK`` and a sample holds at least 3L windows, a window that
+    repeats inside a copied run is not scored again (``_run_match``).
     """
     sample_codes, probe_codes = _codes(samples), _codes(probes)
     n_samples, n_probes, length = len(sample_codes), *probe_codes.shape
     n_offsets = _window_count(sample_codes.shape[1], length)
     width = 4 * length
+    if width * n_probes >= _RUN_WORK and n_offsets >= 3 * length:
+        return _run_match(sample_codes, probe_codes)
     budget = _CHUNK_BYTES // 4
     probe_step = min(n_probes, max(1, budget // (2 * width)))
     offset_step = max(1, (budget - probe_step * width) // (n_samples * (width + probe_step)))
     best = np.zeros((n_samples, n_probes), dtype=np.float32)
     for start in range(0, n_probes, probe_step):
         stop = start + probe_step
-        # complemented one-hot rows, laid out base-major to match the windows below
-        chunk = probe_codes[start:stop]
-        targets = (chunk[:, None, :] == _COMPLEMENTS).reshape(-1, width).astype(np.float32)
+        targets = _targets(probe_codes[start:stop])
         block = best[:, start:stop]
         for offset in range(0, n_offsets, offset_step):
             codes = sample_codes[:, offset : offset + offset_step + length - 1]
@@ -274,6 +303,85 @@ def match_matrix(samples, probes) -> np.ndarray:
                 (windows.reshape(-1, width) @ targets.T).reshape(n_samples, -1, len(targets)).max(1),
                 out=block,
             )
+    return best.astype(np.int64)
+
+
+def _targets(probe_codes: np.ndarray) -> np.ndarray:
+    """Complemented one-hot rows of probe codes, laid out base-major as the
+    window rows are."""
+    return (probe_codes[:, None, :] == _COMPLEMENTS).reshape(len(probe_codes), -1).astype(np.float32)
+
+
+def _run_match(sample_codes: np.ndarray, probe_codes: np.ndarray) -> np.ndarray:
+    """``match_matrix`` from one product row per window outside copied runs.
+
+    A copied run is ``_MIN_RUN`` or more consecutive windows that repeat
+    consecutive windows seen earlier, in row-major order over all samples:
+    one repeated span of ``length + _MIN_RUN - 1`` bases, named by its first
+    occurrence.  Each window in a copied run reuses its source's row; every
+    other window, short repeats included, gets a row of its own, in window
+    order.  A sample's windows then map to a few slices of consecutive rows,
+    and its scores are the max over those slices' score rows: the same
+    integers as the offset scan, since a max does not depend on order.
+    """
+    n_samples, n_probes, length = len(sample_codes), *probe_codes.shape
+    n_offsets = sample_codes.shape[1] - length + 1
+    offsets = np.arange(n_offsets)
+    source = np.arange(n_samples * n_offsets).reshape(n_samples, n_offsets)
+    if n_offsets >= _MIN_RUN:
+        n_spans = n_offsets - _MIN_RUN + 1
+        order, ids = _window_ids(sample_codes, length + _MIN_RUN - 1)
+        # the first occurrence of each span: the least index of its id (an
+        # integer reduction over the plan, not over scores)
+        first = np.empty_like(order)
+        first[order] = np.minimum.reduceat(order, np.flatnonzero(np.diff(ids, prepend=-1)))[ids]
+        first = first.reshape(n_samples, n_spans)
+        spans = np.arange(n_spans)
+        # the last repeated span that starts at or before each window
+        repeated = first != spans + n_spans * np.arange(n_samples)[:, None]
+        cover = np.maximum.accumulate(np.where(repeated, spans, -_MIN_RUN), axis=1)
+        cover = cover[:, np.minimum(offsets, n_spans - 1)]
+        origin = np.take_along_axis(first, cover.clip(0), axis=1)
+        copied = origin // n_spans * n_offsets + origin % n_spans + offsets - cover
+        source = np.where(offsets - cover < _MIN_RUN, copied, source)
+    # a source may lie in an earlier copy: follow it to a window with its own row
+    source = source.reshape(-1)
+    while not np.array_equal(followed := source[source], source):
+        source = followed
+    is_own = source == np.arange(len(source))
+    own = np.flatnonzero(is_own)
+    rows = (np.cumsum(is_own) - 1)[source]
+    # slices: maximal stretches of one sample's windows over consecutive rows
+    cuts = np.ones(len(rows), dtype=bool)
+    cuts[1:] = rows[1:] != rows[:-1] + 1
+    cuts[::n_offsets] = True
+    cut_at = np.flatnonzero(cuts)
+    lows = rows[cut_at]
+    highs = lows + np.diff(cut_at, append=len(rows))
+    owners = cut_at // n_offsets
+    views = _window_view(sample_codes[..., None], length)
+    width = 4 * length
+    budget = _CHUNK_BYTES // 4
+    row_step = min(len(own), max(1, budget // (2 * width)))
+    probe_step = max(1, (budget - row_step * width) // (width + row_step))
+    best = np.zeros((n_samples, n_probes), dtype=np.float32)
+    # one product buffer for every block, so no block faults in fresh pages
+    product = np.empty((row_step, min(probe_step, n_probes)), dtype=np.float32)
+    for top in range(0, len(own), row_step):
+        bottom = top + row_step
+        # gathered one block at a time, so the codes never grow with the input
+        block_own = own[top:bottom]
+        codes = views[block_own // n_offsets, block_own % n_offsets]
+        windows = (codes == _BASES).reshape(-1, width).astype(np.float32)
+        lo, hi = np.maximum(lows, top) - top, np.minimum(highs, bottom) - top
+        hit = lo < hi
+        slices = list(zip(owners[hit].tolist(), lo[hit].tolist(), hi[hit].tolist()))
+        for start in range(0, n_probes, probe_step):
+            targets = _targets(probe_codes[start : start + probe_step])
+            scores = np.matmul(windows, targets.T, out=product[: len(windows), : len(targets)])
+            block = best[:, start : start + probe_step]
+            for sample, low, high in slices:
+                np.maximum(block[sample], scores[low:high].max(0), out=block[sample])
     return best.astype(np.int64)
 
 
@@ -343,21 +451,32 @@ def _window_keys(codes: np.ndarray, length: int) -> np.ndarray:
     return keys
 
 
+def _window_ids(codes: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Number every length-``length`` window of the code rows by its exact key.
+
+    Windows are indexed row-major over all rows.  Returns ``order``, the
+    window indices sorted by key, and ``ids``, the dense key id of each
+    entry of ``order``, 0, 1, ... in key order: equal windows, and only
+    they, share an id.
+    """
+    keys = _window_keys(codes, length).reshape(-1)
+    order = np.argsort(keys)
+    keys = keys[order]
+    return order, np.concatenate(([0], np.cumsum(keys[1:] != keys[:-1])))
+
+
 def overlap_matrix(samples, k: int) -> np.ndarray:
     """Pairwise k-mer overlap of the samples.
 
     Entry (i, j) equals ``overlap(samples[i], samples[j], k)``, counted for
-    every pair at once from one numbering of all samples' window keys; the
-    counts need only key equality, not order.  Diagonal entries are
-    self-overlaps, which fall below 1 when a sequence repeats one of its
-    length-k windows.
+    every pair at once from one numbering of all samples' windows
+    (``_window_ids``).  Diagonal entries are self-overlaps, which fall below
+    1 when a sequence repeats one of its length-k windows.
     """
     codes = _codes(samples)
     windows = _window_count(codes.shape[1], k)
-    keys = _window_keys(codes, k).reshape(-1)
-    order = np.argsort(keys)
-    keys, rows = keys[order], order // windows
-    key_ids = np.concatenate(([0], np.cumsum(keys[1:] != keys[:-1])))
+    order, key_ids = _window_ids(codes, k)
+    rows = order // windows
     n_samples, n_keys = len(codes), key_ids[-1] + 1
     # float64 presence columns of runs of sorted key ids within _CHUNK_BYTES:
     # integer counts below 2**53 are exact in BLAS's float64, so any blocking sums alike

@@ -372,6 +372,27 @@ class TestMatchMatrix:
             tracemalloc.stop()
         assert peak <= 44.5 * 2**20
 
+    def test_run_path_memory_is_bounded(self):
+        # 200 probes of L = 50 take the distinct-window path; 20.8 MiB is its
+        # traced peak on this input, the int64 window plan at about 100 bytes
+        # a window, where gathering every distinct window's codes at once
+        # peaked at 31.7 MiB
+        rng = stream(31, "long")
+        sample = random_sequence(200_000, rng)
+        probes = [random_sequence(50, rng) for _ in range(200)]
+        calls = []
+        window_ids = sequences._window_ids
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sequences, "_window_ids", lambda *a: calls.append(a) or window_ids(*a))
+            tracemalloc.start()
+            try:
+                match_matrix([sample], probes)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(calls) == 1
+        assert peak <= 22 * 2**20
+
     def test_chunks_split_probes_and_offsets(self, monkeypatch):
         # at L = 4 with 3 samples a 1,276-byte cap gives blocks of 9 probes by
         # 2 offsets: 2 probe chunks by 14 offset chunks
@@ -397,6 +418,75 @@ class TestMatchMatrix:
         for i, sample in enumerate(samples):
             for k, probe in enumerate(probes):
                 assert got[i, k] == oracle_match(sample, probe)
+
+    @settings(deadline=None)
+    @given(st.integers(6, 300), st.integers(1, 300), st.integers(1, 6), st.integers(0, 2**32))
+    def test_runs_equal_oracle_on_families(self, width, length, count, seed):
+        # the distinct-window path itself, whatever the rule would pick, on
+        # the runs that the family's shifts, swaps and shared gene make
+        rng = stream(seed, "runs")
+        family = reference_family(width, rng)
+        probes = random_probes(count, min(length, width), rng)
+        got = sequences._run_match(family.codes, probes.codes)
+        for i, sample in enumerate(family.seqs):
+            for k, probe in enumerate(probes):
+                assert got[i, k] == oracle_match(sample, probe)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 6), st.integers(0, 2**32))
+    def test_runs_equal_oracle_on_two_letters(self, width, length, count, seed):
+        # over {A, C} windows repeat at random, in runs of every length
+        rng = stream(seed, "two")
+        samples = ProbeSet(rng.integers(0, 2, size=(int(rng.integers(1, 7)), width)))
+        probes = random_probes(count, min(length, width), rng)
+        got = sequences._run_match(samples.codes, probes.codes)
+        for i, sample in enumerate(samples):
+            for k, probe in enumerate(probes):
+                assert got[i, k] == oracle_match(sample, probe)
+
+    @pytest.mark.parametrize("short", [None, "probes", "windows"])
+    @settings(deadline=None, max_examples=2)
+    @given(st.integers(10, 20), st.integers(0, 30), st.integers(0, 2**32))
+    def test_both_sides_of_the_rule(self, short, length, extra, seed):
+        # the fewest probes whose work per window row, 4L each, reaches the
+        # rule, and the fewest windows a sample, 3L, that it asks for; one
+        # fewer of either keeps the offset scan
+        least = -(-sequences._RUN_WORK // (4 * length))
+        rng = stream(seed, "rule")
+        family = reference_family(4 * length - 1 + (-1 if short == "windows" else extra), rng)
+        probes = random_probes(least - (short == "probes"), length, rng)
+        calls = []
+        window_ids = sequences._window_ids
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sequences, "_window_ids", lambda *a: calls.append(a) or window_ids(*a))
+            got = match_matrix(family, probes)
+        assert len(calls) == (short is None)
+        for i, sample in enumerate(family.seqs):
+            for k, probe in enumerate(probes):
+                assert got[i, k] == oracle_match(sample, probe)
+
+    @pytest.mark.parametrize(
+        "width, count, length",
+        [(40, m, 8) for m in (4, 8, 16, 32)] + [(w, 20, 10) for w in (500, 1000, 1500, 2000)],
+    )
+    def test_small_cells_never_number_windows(self, width, count, length, monkeypatch):
+        # the many-cells and long-records geometries stay on the offset scan
+        calls = []
+        monkeypatch.setattr(sequences, "_window_ids", lambda *a: calls.append(a))
+        rng = stream(33, "small")
+        match_matrix(reference_family(width, rng), random_probes(count, length, rng))
+        assert calls == []
+
+    def test_probe_scan_cells_number_windows_once(self, monkeypatch):
+        calls = []
+        window_ids = sequences._window_ids
+        monkeypatch.setattr(sequences, "_window_ids", lambda *a: calls.append(a) or window_ids(*a))
+        rng = stream(34, "scan")
+        family, probes = reference_family(200, rng), random_probes(1000, 10, rng)
+        got = match_matrix(family, probes)
+        assert len(calls) == 1
+        monkeypatch.setattr(sequences, "_RUN_WORK", np.inf)
+        assert np.array_equal(got, match_matrix(family, probes))
 
     @settings(deadline=None)
     @given(match_case())
