@@ -47,31 +47,30 @@ _COMPLEMENTS = 3 - _BASES
 # and product, or the float64 presence columns of overlap_matrix
 _CHUNK_BYTES = 1 << 20
 # GEMM work per window row, 4L multiply-adds for each of M probes, from which
-# the kernel scores only the windows outside copied runs (_run_match), when a
-# sample also holds at least 3L windows.  Runs against the offset scan, at one
-# BLAS thread on reference families (best of 45 calls, mean of seeds 0-2):
-# - W = 200: 1.16x the time at 4LM = 10,000 (M = 500, L = 5), 0.91-1.08x at
-#   20,000, 0.80-1.05x at 30,000 (losing at M <= 300), 0.76-0.97x at 40,000
-#   (M = 250..1000) and 0.68-0.74x at 60,000 to 120,000;
-# - from 40,000 on, below 3L windows a sample: 0.82-1.36x, losing in 13 of 29
-#   cells over two sittings (figure 1's W = 50, L = 30: 1.03-1.36x; W = 130..149,
-#   L = 50: 1.07-1.16x), as a family's copied pieces, W/3 to W/2 bases long,
-#   then hold few runs;
-# - from 40,000 on, at 3L windows or more: 0.56-0.95x in 39 of 40 cells, among
-#   them figure 1's W = 150..300 (L = 30, M = 500) at 0.72-0.95x, figure 2's
-#   M = 500..1000 (W = 150, L = 20) at 0.64-0.83x and figure 3's L = 10..50 at
-#   0.56-0.75x; the one loss, 1.05x, was W = 160, L = 40, M = 500.  Means
-#   over 150 fresh families, in alternating order, agree: 0.57-0.92x in nine
-#   such cells, and 0.97-1.04x at 3.0L windows with M = 500 (W = 120, L = 30;
-#   W = 160, L = 40).
+# the kernel scores each distinct window once (_run_match), when a sample also
+# holds at least 3L windows and the N windows of all samples number at most
+# 8 << L: N**2 <= 64 * 4**L, so that about N**2 / (2 * 4**L) <= 32 pairs of
+# them are equal by chance and cut the copied runs' slices.  Runs against the
+# offset scan, at one BLAS thread on reference families (best of 15 calls,
+# mean of seeds 0-2):
+# - past all three terms, the 16 figure cells (figure 1's W = 150..300 at
+#   L = 30, M = 500; figure 2's M = 500..1000 at W = 150, L = 20; figure 3's
+#   L = 10..50 at W = 200, M = 1000): 0.59-0.94x.  W = 200 won at 4LM =
+#   20,000 and 30,000 too (0.84-0.89x), but the term stays at 40,000, so
+#   that every figure and benchmark cell keeps its side;
+# - below 3L windows a sample, as a family's copied pieces, W/3 to W/2 bases
+#   long, then hold few runs: 1.04x at figure 1's W = 100 and 1.37x at W = 50
+#   (L = 30, M = 500);
+# - past 8 << L, chance repeats cut the slices short: W = 2000, L = 6,
+#   M = 1,667 took 23x the offset scan.  The term costs W = 150..300 at
+#   L = 5..8, where the scan takes 1.05-1.12x the run time, and just inside
+#   it W = 150..500 at L = 8..10 win at 0.80-0.95x;
+# - long samples inside all three terms lose on row blocking: W = 1000 at
+#   L = 10..12 and W = 2000 at L = 11..16 (M = 1000) take 1.04-1.64x.
 # Many-cells (4LM <= 1,024) and long-records (800) stay below it.  A sample
 # with no copied runs pays the numbering for nothing: one random 200,000-base
-# sample against 200 probes of L = 50 takes 1.5x the offset scan's time.
+# sample against 200 probes of L = 50 takes 1.44x the offset scan's time.
 _RUN_WORK = 40_000
-# a repeated window reuses the product row of an earlier one only inside a
-# copied run of at least this many windows; shorter repeats, such as random
-# 5-mers, get rows of their own, so they do not cut the runs into small slices
-_MIN_RUN = 12
 
 
 def _batch(seqs) -> tuple[tuple[str, ...], np.ndarray]:
@@ -275,14 +274,19 @@ def match_matrix(samples, probes) -> np.ndarray:
     offset) pair.  Each count is a sum of 0/1 products, an integer <= L <
     2**24, so float32 gives it exactly in any summation order.  When the
     product's work per window row, 4L times the probe count, reaches
-    ``_RUN_WORK`` and a sample holds at least 3L windows, a window that
-    repeats inside a copied run is not scored again (``_run_match``).
+    ``_RUN_WORK``, a sample holds at least 3L windows and the N windows of
+    all samples number at most ``8 << L``, a repeated window is not scored
+    again (``_run_match``).
     """
     sample_codes, probe_codes = _codes(samples), _codes(probes)
     n_samples, n_probes, length = len(sample_codes), *probe_codes.shape
     n_offsets = _window_count(sample_codes.shape[1], length)
     width = 4 * length
-    if width * n_probes >= _RUN_WORK and n_offsets >= 3 * length:
+    if (
+        width * n_probes >= _RUN_WORK
+        and n_offsets >= 3 * length
+        and n_samples * n_offsets <= 8 << length
+    ):
         return _run_match(sample_codes, probe_codes)
     budget = _CHUNK_BYTES // 4
     probe_step = min(n_probes, max(1, budget // (2 * width)))
@@ -313,41 +317,22 @@ def _targets(probe_codes: np.ndarray) -> np.ndarray:
 
 
 def _run_match(sample_codes: np.ndarray, probe_codes: np.ndarray) -> np.ndarray:
-    """``match_matrix`` from one product row per window outside copied runs.
+    """``match_matrix`` from one product row per distinct window.
 
-    A copied run is ``_MIN_RUN`` or more consecutive windows that repeat
-    consecutive windows seen earlier, in row-major order over all samples:
-    one repeated span of ``length + _MIN_RUN - 1`` bases, named by its first
-    occurrence.  Each window in a copied run reuses its source's row; every
-    other window, short repeats included, gets a row of its own, in window
-    order.  A sample's windows then map to a few slices of consecutive rows,
+    Each window is named by its first occurrence, in row-major order over
+    all samples.  A first occurrence gets a row of its own, in window order,
+    and every repeat reuses that row.  Copied runs repeat consecutive
+    windows, so a sample's windows map to a few slices of consecutive rows,
     and its scores are the max over those slices' score rows: the same
     integers as the offset scan, since a max does not depend on order.
     """
     n_samples, n_probes, length = len(sample_codes), *probe_codes.shape
     n_offsets = sample_codes.shape[1] - length + 1
-    offsets = np.arange(n_offsets)
-    source = np.arange(n_samples * n_offsets).reshape(n_samples, n_offsets)
-    if n_offsets >= _MIN_RUN:
-        n_spans = n_offsets - _MIN_RUN + 1
-        order, ids = _window_ids(sample_codes, length + _MIN_RUN - 1)
-        # the first occurrence of each span: the least index of its id (an
-        # integer reduction over the plan, not over scores)
-        first = np.empty_like(order)
-        first[order] = np.minimum.reduceat(order, np.flatnonzero(np.diff(ids, prepend=-1)))[ids]
-        first = first.reshape(n_samples, n_spans)
-        spans = np.arange(n_spans)
-        # the last repeated span that starts at or before each window
-        repeated = first != spans + n_spans * np.arange(n_samples)[:, None]
-        cover = np.maximum.accumulate(np.where(repeated, spans, -_MIN_RUN), axis=1)
-        cover = cover[:, np.minimum(offsets, n_spans - 1)]
-        origin = np.take_along_axis(first, cover.clip(0), axis=1)
-        copied = origin // n_spans * n_offsets + origin % n_spans + offsets - cover
-        source = np.where(offsets - cover < _MIN_RUN, copied, source)
-    # a source may lie in an earlier copy: follow it to a window with its own row
-    source = source.reshape(-1)
-    while not np.array_equal(followed := source[source], source):
-        source = followed
+    order, ids = _window_ids(sample_codes, length)
+    # the first occurrence of each window: the least index of its id (an
+    # integer reduction over the plan, not over scores)
+    source = np.empty_like(order)
+    source[order] = np.minimum.reduceat(order, np.flatnonzero(np.diff(ids, prepend=-1)))[ids]
     is_own = source == np.arange(len(source))
     own = np.flatnonzero(is_own)
     rows = (np.cumsum(is_own) - 1)[source]

@@ -43,6 +43,29 @@ def oracle_match(sample: str, probe: str) -> int:
     return best
 
 
+def run_match_products(samples, probes):
+    """``_run_match`` of two code sets, and the (window row, probe) pairs
+    that its matrix products computed."""
+    products = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def matmul(self, rows, columns, **kwargs):
+            products.append(len(rows) * columns.shape[1])
+            return np.matmul(rows, columns, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sequences, "np", CountingNumpy())
+        got = sequences._run_match(samples.codes, probes.codes)
+    return got, sum(products)
+
+
+def distinct_windows(samples, length: int) -> int:
+    return len({seq[i : i + length] for seq in samples for i in range(len(seq) - length + 1)})
+
+
 def separate_draws_family(w: int, rng: np.random.Generator) -> np.ndarray:
     """Reference-family codes built with ``np.roll``, ``np.concatenate`` and
     one draw per part, in the fixed draw order."""
@@ -373,10 +396,9 @@ class TestMatchMatrix:
         assert peak <= 44.5 * 2**20
 
     def test_run_path_memory_is_bounded(self):
-        # 200 probes of L = 50 take the distinct-window path; 20.8 MiB is its
-        # traced peak on this input, the int64 window plan at about 100 bytes
-        # a window, where gathering every distinct window's codes at once
-        # peaked at 31.7 MiB
+        # 200 probes of L = 50 take the distinct-window path; 11.1 MiB is its
+        # traced peak on this input, the int64 window plan at about 58 bytes
+        # a window
         rng = stream(31, "long")
         sample = random_sequence(200_000, rng)
         probes = [random_sequence(50, rng) for _ in range(200)]
@@ -391,7 +413,7 @@ class TestMatchMatrix:
             finally:
                 tracemalloc.stop()
         assert len(calls) == 1
-        assert peak <= 22 * 2**20
+        assert peak <= 12 * 2**20
 
     def test_chunks_split_probes_and_offsets(self, monkeypatch):
         # at L = 4 with 3 samples a 1,276-byte cap gives blocks of 9 probes by
@@ -423,11 +445,13 @@ class TestMatchMatrix:
     @given(st.integers(6, 300), st.integers(1, 300), st.integers(1, 6), st.integers(0, 2**32))
     def test_runs_equal_oracle_on_families(self, width, length, count, seed):
         # the distinct-window path itself, whatever the rule would pick, on
-        # the runs that the family's shifts, swaps and shared gene make
+        # the runs that the family's shifts, swaps and shared gene make: one
+        # product row for each distinct window
         rng = stream(seed, "runs")
         family = reference_family(width, rng)
         probes = random_probes(count, min(length, width), rng)
-        got = sequences._run_match(family.codes, probes.codes)
+        got, products = run_match_products(family, probes)
+        assert products == distinct_windows(family.seqs, probes.length) * count
         for i, sample in enumerate(family.seqs):
             for k, probe in enumerate(probes):
                 assert got[i, k] == oracle_match(sample, probe)
@@ -439,7 +463,8 @@ class TestMatchMatrix:
         rng = stream(seed, "two")
         samples = ProbeSet(rng.integers(0, 2, size=(int(rng.integers(1, 7)), width)))
         probes = random_probes(count, min(length, width), rng)
-        got = sequences._run_match(samples.codes, probes.codes)
+        got, products = run_match_products(samples, probes)
+        assert products == distinct_windows(samples, probes.length) * count
         for i, sample in enumerate(samples):
             for k, probe in enumerate(probes):
                 assert got[i, k] == oracle_match(sample, probe)
@@ -467,15 +492,23 @@ class TestMatchMatrix:
 
     @pytest.mark.parametrize(
         "width, count, length",
-        [(40, m, 8) for m in (4, 8, 16, 32)] + [(w, 20, 10) for w in (500, 1000, 1500, 2000)],
+        [(40, m, 8) for m in (4, 8, 16, 32)]
+        + [(w, 20, 10) for w in (500, 1000, 1500, 2000)]
+        + [(500, 1667, 6), (2000, 1000, 10)],
     )
     def test_small_cells_never_number_windows(self, width, count, length, monkeypatch):
-        # the many-cells and long-records geometries stay on the offset scan
+        # the many-cells and long-records geometries stay on the offset scan,
+        # and so do cells past the work and window terms with more than 8 << L
+        # windows in all, whose chance repeats would cut the slices short
         calls = []
         monkeypatch.setattr(sequences, "_window_ids", lambda *a: calls.append(a))
         rng = stream(33, "small")
-        match_matrix(reference_family(width, rng), random_probes(count, length, rng))
+        family, probes = reference_family(width, rng), random_probes(count, length, rng)
+        got = match_matrix(family, probes)
         assert calls == []
+        for i, sample in enumerate(family.seqs):
+            for k, probe in enumerate(probes[:2]):
+                assert got[i, k] == oracle_match(sample, probe)
 
     def test_probe_scan_cells_number_windows_once(self, monkeypatch):
         calls = []
@@ -484,7 +517,8 @@ class TestMatchMatrix:
         rng = stream(34, "scan")
         family, probes = reference_family(200, rng), random_probes(1000, 10, rng)
         got = match_matrix(family, probes)
-        assert len(calls) == 1
+        # one numbering, of the L-windows, as overlap_matrix numbers them
+        assert len(calls) == 1 and calls[0][1] == probes.length == 10
         monkeypatch.setattr(sequences, "_RUN_WORK", np.inf)
         assert np.array_equal(got, match_matrix(family, probes))
 
