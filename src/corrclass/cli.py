@@ -216,9 +216,9 @@ def _cmd_opinions(args) -> int:
     theoretical = theoretical_error(
         config.n_components, config.n_individuals, config.n_products, gamma_factor(config)
     )
-    print(f"empirical_error {empirical:.6g}")
-    print(f"theoretical_error {theoretical:.6g}")
-    print(f"ratio {empirical / theoretical:.6g}")
+    values = {"empirical_error": empirical, "theoretical_error": theoretical}
+    values["ratio"] = empirical / theoretical
+    _write_lines([f"{name} {_format_float(value)}" for name, value in values.items()], sys.stdout)
     return 0
 
 

@@ -115,7 +115,7 @@ def opinion_matrix(population, normalization: float) -> np.ndarray:
 class CorrelationMatrix:
     """Pearson correlations between the rows of a matrix.
 
-    A row whose centered values are identically zero has no defined
+    A constant row, or one whose centered norm underflows to zero, has no
     correlation; the policy is to zero all of its entries (diagonal
     included) and report the row index in ``degenerate_rows``.  Zero is
     neutral for downstream correlation-weighted sums.
@@ -133,17 +133,19 @@ def row_correlation(matrix) -> CorrelationMatrix:
     """Correlate every pair of rows, centering each row by its own mean.
 
     The result is exactly symmetric, has unit diagonal for non-degenerate
-    rows, and is clipped to [-1, 1] to absorb rounding.
+    rows, and is clipped to [-1, 1] to absorb rounding.  A constant row is
+    degenerate even if its rounded mean leaves it a nonzero centered norm.
     """
     data = np.asarray(matrix, dtype=float)
     if data.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={data.ndim}")
     if data.shape[1] < 2:
         raise ValueError(f"row correlation needs at least 2 columns, got {data.shape[1]}")
+    degenerate = data.max(axis=1) == data.min(axis=1)
     centered = data - data.mean(axis=1, keepdims=True)
     del data
     norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
-    degenerate = norms == 0.0
+    degenerate |= norms == 0.0
     safe = np.where(degenerate, 1.0, norms)
     values = centered @ centered.T
     del centered

@@ -212,29 +212,22 @@ _OPENBLAS_NAMES = ("openblas_{}", "openblas_{}64_", "scipy_openblas_{}", "scipy_
 
 @cache
 def _openblas_threads():
-    """Typed ``(get_num_threads, set_num_threads)`` of the OpenBLAS this
-    process has loaded, or None.
+    """Typed ``(get_num_threads, set_num_threads)`` of numpy's OpenBLAS, or None.
 
-    The library is found among the files mapped in ``/proc/self/maps``, once
-    per process: forked workers inherit the lookup.
+    A lookup on the handle of numpy's compiled core module, whose ``matmul``
+    the kernel calls, searches only that module and the libraries it links,
+    so no other OpenBLAS copy in the process is found.  Forked workers
+    inherit the result.
     """
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split(None, 5)[5].strip() for line in maps if "openblas" in line})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in _OPENBLAS_NAMES:
-            get_threads = getattr(library, symbol.format("get_num_threads"), None)
-            set_threads = getattr(library, symbol.format("set_num_threads"), None)
-            if get_threads is not None and set_threads is not None:
-                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                return get_threads, set_threads
+    core = np.core if np.__version__.startswith("1.") else np._core
+    library = ctypes.CDLL(core._multiarray_umath.__file__)
+    for symbol in _OPENBLAS_NAMES:
+        get_threads = getattr(library, symbol.format("get_num_threads"), None)
+        set_threads = getattr(library, symbol.format("set_num_threads"), None)
+        if get_threads is not None and set_threads is not None:
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            return get_threads, set_threads
     return None
 
 

@@ -128,6 +128,10 @@ class TestSequenceSets:
             ProbeSet(("ACGX",))
         with pytest.raises(ValueError):
             ProbeSet(("ACG\u00c5",))
+        with pytest.raises(TypeError, match="sequence must be str, got int"):
+            ProbeSet(("ACG", 5))
+        with pytest.raises(ValueError, match="sequence must be nonempty"):
+            ProbeSet(("", ""))
         probes = ProbeSet(("ACG", "TTT"))
         assert probes.length == 3
         assert len(probes) == 2
@@ -136,6 +140,9 @@ class TestSequenceSets:
         codes = np.array([[0, 1, 2, 3], [3, 3, 0, 0]])
         assert ProbeSet(codes).probes == ("ACGT", "TTAA")
         assert ProbeSet(codes) == ProbeSet(("ACGT", "TTAA"))
+        assert hash(ProbeSet(codes)) == hash(ProbeSet(("ACGT", "TTAA")))
+        # a probe set never equals the tuple of its strings
+        assert ProbeSet(codes) != ("ACGT", "TTAA")
         # numpy string and object arrays are strings, not codes
         for strings in (np.array(["ACGT", "TTAA"]), np.array(["ACGT", "TTAA"], dtype=object)):
             assert ProbeSet(strings) == ProbeSet(codes)
@@ -240,6 +247,8 @@ class TestReferenceFamily:
         for seqs in (family.seqs, np.array(family.codes)):
             with pytest.raises(ValueError):
                 ReferenceFamily(seqs=seqs[:7])
+            # equal codes hash equal, whichever class holds them
+            assert hash(ReferenceFamily(seqs)) == hash(family) == hash(ProbeSet(seqs))
 
     @settings(deadline=None)
     @given(st.integers(6, 400), st.integers(0, 2**64 - 1))

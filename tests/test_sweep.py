@@ -1,5 +1,7 @@
 """Sweep configuration, execution, aggregation, and serialization."""
 
+import builtins
+import ctypes
 import io
 import math
 import multiprocessing
@@ -7,6 +9,7 @@ import os
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -399,6 +402,93 @@ class TestRunSweep:
                 tiny_result.series(bad)
         for got, want in zip(tiny_result.series((np.int64(1), 0)), tiny_result.series((0, 1))):
             assert np.array_equal(got, want)
+
+
+@pytest.fixture
+def fresh_lookup():
+    """Clear the OpenBLAS lookup's cache for the test; afterwards restore
+    numpy's thread count and clear the cache again."""
+    threads = sweep._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy did not load OpenBLAS")
+    get_threads, set_threads = threads
+    before = get_threads()
+    sweep._openblas_threads.cache_clear()
+    yield
+    set_threads(before)
+    sweep._openblas_threads.cache_clear()
+
+
+def _openblas_file(package):
+    """The OpenBLAS file that a wheel of ``package`` ships, or a skip."""
+    root = Path(pytest.importorskip(package).__file__).parent.parent
+    found = sorted((root / f"{package}.libs").glob("*openblas*"))
+    if not found:
+        pytest.skip(f"{package} ships no OpenBLAS file")
+    return found[0]
+
+
+def _exported_threads(path):
+    """Typed thread functions exported by the library at ``path``."""
+    library = ctypes.CDLL(os.fspath(path))
+    for symbol in sweep._OPENBLAS_NAMES:
+        names = symbol.format("get_num_threads"), symbol.format("set_num_threads")
+        if all(hasattr(library, name) for name in names):
+            get_threads, set_threads = (getattr(library, name) for name in names)
+            get_threads.restype, set_threads.argtypes = ctypes.c_int, [ctypes.c_int]
+            return get_threads, set_threads
+    pytest.fail(f"{path} exports no OpenBLAS thread functions")
+
+
+def _maps_reading(monkeypatch, read):
+    """Make ``open("/proc/self/maps")`` return ``read()``; other paths open as usual."""
+    real_open = builtins.open
+
+    def patched(file, *args, **kwargs):
+        return read() if file == "/proc/self/maps" else real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", patched)
+
+
+class TestOpenBLASLookup:
+    def test_lookup_reads_no_proc_maps(self, fresh_lookup, monkeypatch):
+        def unreadable():
+            raise OSError("no /proc here")
+
+        _maps_reading(monkeypatch, unreadable)
+        threads = sweep._openblas_threads()
+        assert threads is not None
+        get_threads, set_threads = threads
+        for count in (1, 2):
+            set_threads(count)
+            assert get_threads() == count
+
+    def test_lookup_finds_the_openblas_numpy_links(self, fresh_lookup, monkeypatch, tmp_path):
+        # maps list both copies through links, scipy's at the path that sorts first
+        numpys, other = _openblas_file("numpy"), _openblas_file("scipy")
+        lines = []
+        for directory, target in (("a", other), ("b", numpys)):
+            (tmp_path / directory).mkdir()
+            link = tmp_path / directory / target.name
+            link.symlink_to(target)
+            lines.append(f"7f0000000000-7f0000001000 r-xp 00000000 00:00 0    {link}\n")
+        _maps_reading(monkeypatch, lambda: io.StringIO("".join(lines)))
+        numpy_get, numpy_set = _exported_threads(numpys)
+        other_get, other_set = _exported_threads(other)
+        other_before = other_get()
+        numpy_set(2)
+        try:
+            get_threads, set_threads = sweep._openblas_threads()
+            set_threads(1)
+            assert numpy_get() == get_threads() == 1
+        finally:
+            other_set(other_before)
+
+    def test_library_without_thread_functions_gives_none(self, fresh_lookup, monkeypatch):
+        # numpy's compiled PCG64 module, which links no BLAS, stands in for its core
+        core = np.core if np.__version__.startswith("1.") else np._core
+        monkeypatch.setattr(core._multiarray_umath, "__file__", np.random._pcg64.__file__)
+        assert sweep._openblas_threads() is None
 
 
 class TestFigurePresets:
