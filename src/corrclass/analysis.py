@@ -54,9 +54,11 @@ def similarity_report(samples, probes) -> SimilarityReport:
     """Full report: match-row correlation vs k-mer overlap at probe length.
 
     ``samples`` and ``probes`` are indexable collections of sequences, such
-    as a ``ReferenceFamily`` and a ``ProbeSet``; ``match_matrix`` validates
-    them.
+    as a ``ReferenceFamily`` and a ``ProbeSet``.  Each is validated into a
+    set once, so the kernel and the overlap read one numbering of the
+    samples' windows.
     """
+    samples = samples if isinstance(samples, ProbeSet) else ProbeSet(samples)
     probes = probes if isinstance(probes, ProbeSet) else ProbeSet(probes)
     correlation = sample_correlation(match_matrix(samples, probes))
     omega = overlap_matrix(samples, probes.length)

@@ -12,6 +12,7 @@ equal-length sequences.
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -47,30 +48,14 @@ _COMPLEMENTS = 3 - _BASES
 # and product, or the float64 presence columns of overlap_matrix
 _CHUNK_BYTES = 1 << 20
 # GEMM work per window row, 4L multiply-adds for each of M probes, from which
-# the kernel scores each distinct window once (_run_match), when a sample also
-# holds at least 3L windows and the N windows of all samples number at most
-# 8 << L: N**2 <= 64 * 4**L, so that about N**2 / (2 * 4**L) <= 32 pairs of
-# them are equal by chance and cut the copied runs' slices.  Runs against the
-# offset scan, at one BLAS thread on reference families (best of 15 calls,
-# mean of seeds 0-2):
-# - past all three terms, the 16 figure cells (figure 1's W = 150..300 at
-#   L = 30, M = 500; figure 2's M = 500..1000 at W = 150, L = 20; figure 3's
-#   L = 10..50 at W = 200, M = 1000): 0.59-0.94x.  W = 200 won at 4LM =
-#   20,000 and 30,000 too (0.84-0.89x), but the term stays at 40,000, so
-#   that every figure and benchmark cell keeps its side;
-# - below 3L windows a sample, as a family's copied pieces, W/3 to W/2 bases
-#   long, then hold few runs: 1.04x at figure 1's W = 100 and 1.37x at W = 50
-#   (L = 30, M = 500);
-# - past 8 << L, chance repeats cut the slices short: W = 2000, L = 6,
-#   M = 1,667 took 23x the offset scan.  The term costs W = 150..300 at
-#   L = 5..8, where the scan takes 1.05-1.12x the run time, and just inside
-#   it W = 150..500 at L = 8..10 win at 0.80-0.95x;
-# - long samples inside all three terms lose on row blocking: W = 1000 at
-#   L = 10..12 and W = 2000 at L = 11..16 (M = 1000) take 1.04-1.64x.
-# Many-cells (4LM <= 1,024) and long-records (800) stay below it.  A sample
-# with no copied runs pays the numbering for nothing: one random 200,000-base
-# sample against 200 probes of L = 50 takes 1.44x the offset scan's time.
+# match_matrix plans the windows (_run_plan); many-cells and long-records stay below
 _RUN_WORK = 40_000
+# windows the plan saves (all but those with a row of their own) a slice, from
+# which the kernel scores each distinct window once (_run_match).  One BLAS thread,
+# seeds 0-2: figure cells past it (24.3-65.9) took 0.59-0.91x the offset scan,
+# W = 1000-2000 at L = 10-16 (108-502) 0.56-0.73x; below it stay figure 1's W = 50
+# and 100 (2.2, 11.6), chance repeats at L = 6 (1.9-4.1; 1.9-4.1x), unrepeated samples.
+_RUN_SAVED = 16
 
 
 def _batch(seqs) -> tuple[tuple[str, ...], np.ndarray]:
@@ -128,7 +113,7 @@ class ProbeSet:
     ``probes``, iteration and indexing yield ``str``.
     """
 
-    __slots__ = ("codes",)
+    __slots__ = ("codes", "_numbering")
 
     def __init__(self, probes) -> None:
         if isinstance(probes, np.ndarray) and probes.dtype.kind not in "OSU":
@@ -145,6 +130,15 @@ class ProbeSet:
             codes = _batch(probes)[1]
         codes.flags.writeable = False
         self.codes = codes
+        self._numbering = None
+
+    def _window_ids(self, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """``_window_ids`` of the codes, read-only, kept for the last length asked."""
+        if self._numbering is None or self._numbering[0] != length:
+            order, ids = _window_ids(self.codes, length)
+            order.flags.writeable = ids.flags.writeable = False
+            self._numbering = length, order, ids
+        return self._numbering[1:]
 
     @property
     def probes(self) -> tuple[str, ...]:
@@ -250,9 +244,9 @@ def reference_family(sample_length: int, rng: np.random.Generator) -> ReferenceF
     return ReferenceFamily(codes)
 
 
-def _codes(seqs) -> np.ndarray:
-    """Codes a ``ProbeSet`` carries; any other input is validated into one first."""
-    return (seqs if isinstance(seqs, ProbeSet) else ProbeSet(seqs)).codes
+def _probe_set(seqs) -> ProbeSet:
+    """``seqs`` if a ``ProbeSet``; any other input is validated into one."""
+    return seqs if isinstance(seqs, ProbeSet) else ProbeSet(seqs)
 
 
 def max_complementary_match(sample: str, probe: str) -> int:
@@ -274,20 +268,18 @@ def match_matrix(samples, probes) -> np.ndarray:
     offset) pair.  Each count is a sum of 0/1 products, an integer <= L <
     2**24, so float32 gives it exactly in any summation order.  When the
     product's work per window row, 4L times the probe count, reaches
-    ``_RUN_WORK``, a sample holds at least 3L windows and the N windows of
-    all samples number at most ``8 << L``, a repeated window is not scored
-    again (``_run_match``).
+    ``_RUN_WORK``, the samples' windows are numbered (``_run_plan``), and when
+    the windows that repeat number at least ``_RUN_SAVED`` for each slice of
+    consecutive rows, a repeated window is not scored again (``_run_match``).
     """
-    sample_codes, probe_codes = _codes(samples), _codes(probes)
-    n_samples, n_probes, length = len(sample_codes), *probe_codes.shape
-    n_offsets = _window_count(sample_codes.shape[1], length)
+    samples, probe_codes = _probe_set(samples), _probe_set(probes).codes
+    n_samples, n_probes, length = len(samples), *probe_codes.shape
+    n_offsets = _window_count(samples.length, length)
     width = 4 * length
-    if (
-        width * n_probes >= _RUN_WORK
-        and n_offsets >= 3 * length
-        and n_samples * n_offsets <= 8 << length
-    ):
-        return _run_match(sample_codes, probe_codes)
+    if width * n_probes >= _RUN_WORK:
+        own, lows, highs, owners = _run_plan(*samples._window_ids(length), n_offsets)
+        if n_samples * n_offsets - len(own) >= _RUN_SAVED * len(lows):
+            return _run_match(samples.codes, probe_codes, own, lows, highs, owners)
     budget = _CHUNK_BYTES // 4
     probe_step = min(n_probes, max(1, budget // (2 * width)))
     offset_step = max(1, (budget - probe_step * width) // (n_samples * (width + probe_step)))
@@ -297,7 +289,7 @@ def match_matrix(samples, probes) -> np.ndarray:
         targets = _targets(probe_codes[start:stop])
         block = best[:, start:stop]
         for offset in range(0, n_offsets, offset_step):
-            codes = sample_codes[:, offset : offset + offset_step + length - 1]
+            codes = samples.codes[:, offset : offset + offset_step + length - 1]
             one_hot = (codes[..., None] == _BASES[:, 0]).astype(np.float32)
             windows = _window_view(one_hot, length)
             # one expression, so the window rows of all samples and their
@@ -316,42 +308,50 @@ def _targets(probe_codes: np.ndarray) -> np.ndarray:
     return (probe_codes[:, None, :] == _COMPLEMENTS).reshape(len(probe_codes), -1).astype(np.float32)
 
 
-def _run_match(sample_codes: np.ndarray, probe_codes: np.ndarray) -> np.ndarray:
-    """``match_matrix`` from one product row per distinct window.
+def _run_plan(order: np.ndarray, ids: np.ndarray, n_offsets: int) -> tuple[np.ndarray, ...]:
+    """Rows and slices of the distinct-window kernel, from a window numbering.
 
     Each window is named by its first occurrence, in row-major order over
     all samples.  A first occurrence gets a row of its own, in window order,
-    and every repeat reuses that row.  Copied runs repeat consecutive
-    windows, so a sample's windows map to a few slices of consecutive rows,
-    and its scores are the max over those slices' score rows: the same
-    integers as the offset scan, since a max does not depend on order.
+    and every repeat reuses that row.  Returns the windows that own a row,
+    and for each slice, a maximal stretch of one sample's windows over
+    consecutive rows, its first and past-the-end row and its sample.
     """
-    n_samples, n_probes, length = len(sample_codes), *probe_codes.shape
-    n_offsets = sample_codes.shape[1] - length + 1
-    order, ids = _window_ids(sample_codes, length)
     # the first occurrence of each window: the least index of its id (an
     # integer reduction over the plan, not over scores)
     source = np.empty_like(order)
     source[order] = np.minimum.reduceat(order, np.flatnonzero(np.diff(ids, prepend=-1)))[ids]
     is_own = source == np.arange(len(source))
-    own = np.flatnonzero(is_own)
     rows = (np.cumsum(is_own) - 1)[source]
-    # slices: maximal stretches of one sample's windows over consecutive rows
     cuts = np.ones(len(rows), dtype=bool)
     cuts[1:] = rows[1:] != rows[:-1] + 1
     cuts[::n_offsets] = True
     cut_at = np.flatnonzero(cuts)
     lows = rows[cut_at]
-    highs = lows + np.diff(cut_at, append=len(rows))
-    owners = cut_at // n_offsets
+    return np.flatnonzero(is_own), lows, lows + np.diff(cut_at, append=len(rows)), cut_at // n_offsets
+
+
+def _run_match(sample_codes, probe_codes, own, lows, highs, owners) -> np.ndarray:
+    """``match_matrix`` from one product row per distinct window (``_run_plan``).
+
+    Copied runs repeat consecutive windows, so a sample's windows map to a
+    few slices of consecutive rows, and its scores are the max over those
+    slices' score rows: the same integers as the offset scan, since a max
+    does not depend on order.
+    """
+    n_samples, n_probes, length = len(sample_codes), *probe_codes.shape
+    n_offsets = sample_codes.shape[1] - length + 1
     views = _window_view(sample_codes[..., None], length)
     width = 4 * length
     budget = _CHUNK_BYTES // 4
-    row_step = min(len(own), max(1, budget // (2 * width)))
-    probe_step = max(1, (budget - row_step * width) // (width + row_step))
+    # probes first, in even blocks no larger than the side s of equal probe and
+    # row blocks, whose rows and product fill 2 * s * width + s**2 floats
+    side = max(1, math.isqrt(width * width + budget) - width)
+    probe_step = -(-n_probes // -(-n_probes // side))
+    row_step = min(len(own), max(1, (budget - probe_step * width) // (width + probe_step)))
     best = np.zeros((n_samples, n_probes), dtype=np.float32)
     # one product buffer for every block, so no block faults in fresh pages
-    product = np.empty((row_step, min(probe_step, n_probes)), dtype=np.float32)
+    product = np.empty((row_step, probe_step), dtype=np.float32)
     for top in range(0, len(own), row_step):
         bottom = top + row_step
         # gathered one block at a time, so the codes never grow with the input
@@ -458,11 +458,11 @@ def overlap_matrix(samples, k: int) -> np.ndarray:
     (``_window_ids``).  Diagonal entries are self-overlaps, which fall below
     1 when a sequence repeats one of its length-k windows.
     """
-    codes = _codes(samples)
-    windows = _window_count(codes.shape[1], k)
-    order, key_ids = _window_ids(codes, k)
+    samples = _probe_set(samples)
+    windows = _window_count(samples.length, k)
+    order, key_ids = samples._window_ids(k)
     rows = order // windows
-    n_samples, n_keys = len(codes), key_ids[-1] + 1
+    n_samples, n_keys = len(samples), key_ids[-1] + 1
     # float64 presence columns of runs of sorted key ids within _CHUNK_BYTES:
     # integer counts below 2**53 are exact in BLAS's float64, so any blocking sums alike
     step = min(n_keys, max(1, _CHUNK_BYTES // (8 * n_samples)))

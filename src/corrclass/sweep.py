@@ -15,7 +15,6 @@ import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 
@@ -249,32 +248,45 @@ def _pair_errors(pairs: tuple[tuple[int, int], ...], cell: tuple[int, ...]) -> t
     return tuple(float(report.error[i, j]) for i, j in pairs)
 
 
+def _stride_errors(config: SweepConfig, first: int, step: int, out=None) -> np.ndarray:
+    """Errors of cells ``first``, ``first + step``, ... in (grid point,
+    realization) order, into ``out`` or a new array; module-level for pickling."""
+    indices = range(first, len(config.grid) * config.realizations, step)
+    out = np.empty((len(indices), len(config.pairs))) if out is None else out
+    for row, index in zip(out, indices):
+        grid_index, realization = divmod(index, config.realizations)
+        value = config.grid[grid_index]
+        seed = derive_seed(config.base_seed, value, realization)
+        row[:] = _pair_errors(config.pairs, (*config.params_at(value), seed))
+    return out
+
+
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Run every (grid point, realization) cell and aggregate.
 
     The seed of each cell depends only on (base_seed, grid value,
-    realization index), and ``map`` returns the cells in the order given,
-    so the output is identical for any ``jobs``.  ``jobs`` above 1 starts
-    at most ``os.cpu_count()`` worker processes.  The result is allocated
-    first, so a size that cannot be held fails before any cell runs.
+    realization index), and every cell's errors land in its own row, so the
+    output is identical for any ``jobs``.  ``jobs`` above 1 starts at most
+    ``os.cpu_count()`` worker processes, which run strides of cells, at
+    most four a worker, so the parent holds little more than the result.
+    The result is allocated first, so a size that cannot be held fails
+    before any cell runs.
     """
     jobs = _as_int("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     errors = np.empty((len(config.grid), config.realizations, len(config.pairs)))
     rows = errors.reshape(-1, len(config.pairs))
-    cells = (
-        (*config.params_at(value), derive_seed(config.base_seed, value, realization))
-        for value in config.grid
-        for realization in range(config.realizations)
-    )
-    task = partial(_pair_errors, config.pairs)
+    if jobs == 1:
+        _stride_errors(config, 0, 1, out=rows)
+        return SweepResult(config=config, errors=errors)
     # real pool even on one CPU so schedule independence is exercised
     workers = min(jobs, len(rows), os.cpu_count() or 1)
-    with nullcontext() if jobs == 1 else ProcessPoolExecutor(max_workers=workers) as pool:
-        results = map(task, cells) if pool is None else pool.map(task, cells, chunksize=8)
-        for index, row in enumerate(results):
-            rows[index] = row
+    strides = min(len(rows), 4 * workers)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        results = pool.map(partial(_stride_errors, config, step=strides), range(strides))
+        for first, stride in enumerate(results):
+            rows[first::strides] = stride
     return SweepResult(config=config, errors=errors)
 
 

@@ -178,6 +178,27 @@ class TestSimilarityReport:
         assert np.array_equal(report.error, again.error)
         assert report.degenerate_rows == again.degenerate_rows
 
+    def test_each_family_is_numbered_once_per_length(self, monkeypatch):
+        # a cell on the distinct-window path: the kernel's plan and the
+        # overlap matrix read one numbering of the family's L-windows
+        lengths, runs = [], []
+        window_ids, run_match = sequences._window_ids, sequences._run_match
+        monkeypatch.setattr(sequences, "_window_ids", lambda *a: lengths.append(a[1]) or window_ids(*a))
+        monkeypatch.setattr(sequences, "_run_match", lambda *a: runs.append(a) or run_match(*a))
+        family = reference_family(200, stream(6, "family"))
+        probes = random_probes(1000, 10, stream(6, "probes"))
+        report = similarity_report(family, probes)
+        assert lengths == [10] and len(runs) == 1
+        # only the last length asked is kept
+        overlap_matrix(family, 12)
+        overlap_matrix(family, 10)
+        assert lengths == [10, 12, 10]
+        again = similarity_report(list(family.seqs), list(probes.probes))
+        assert lengths == [10, 12, 10, 10] and len(runs) == 2
+        for name in ("correlation", "overlap", "error"):
+            assert np.array_equal(getattr(report, name), getattr(again, name))
+        assert report.degenerate_rows == again.degenerate_rows
+
     def test_probe_blind_mutation_vs_half_swap(self):
         # A single central mutation barely moves the max-match scores, so the
         # correlation overshoots the overlap for pair (0, 1); the half swap

@@ -44,8 +44,8 @@ def oracle_match(sample: str, probe: str) -> int:
 
 
 def run_match_products(samples, probes):
-    """``_run_match`` of two code sets, and the (window row, probe) pairs
-    that its matrix products computed."""
+    """``_run_match`` of two code sets on their window plan, and the (window
+    row, probe) pairs that its matrix products computed."""
     products = []
 
     class CountingNumpy:
@@ -58,8 +58,17 @@ def run_match_products(samples, probes):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sequences, "np", CountingNumpy())
-        got = sequences._run_match(samples.codes, probes.codes)
+        numbering = sequences._window_ids(samples.codes, probes.length)
+        plan = sequences._run_plan(*numbering, samples.length - probes.length + 1)
+        got = sequences._run_match(samples.codes, probes.codes, *plan)
     return got, sum(products)
+
+
+def spy_on(monkeypatch, name):
+    """Calls of the ``sequences`` function ``name``, which still runs."""
+    calls, function = [], getattr(sequences, name)
+    monkeypatch.setattr(sequences, name, lambda *a: calls.append(a) or function(*a))
+    return calls
 
 
 def distinct_windows(samples, length: int) -> int:
@@ -405,24 +414,26 @@ class TestMatchMatrix:
         assert peak <= 44.5 * 2**20
 
     def test_run_path_memory_is_bounded(self):
-        # 200 probes of L = 50 take the distinct-window path; 11.1 MiB is its
-        # traced peak on this input, the int64 window plan at about 58 bytes
-        # a window
+        # 200 probes of L = 50 pass the work gate, so 200,000 windows are
+        # planned, the int64 plan at about 58 bytes a window (11.1 MiB traced
+        # in all).  A random sample repeats no window, so its plan saves none
+        # and the offset scan runs; half of it and its copy take the
+        # distinct-window path (10.3 MiB)
         rng = stream(31, "long")
         sample = random_sequence(200_000, rng)
         probes = [random_sequence(50, rng) for _ in range(200)]
-        calls = []
-        window_ids = sequences._window_ids
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sequences, "_window_ids", lambda *a: calls.append(a) or window_ids(*a))
-            tracemalloc.start()
-            try:
-                match_matrix([sample], probes)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert len(calls) == 1
-        assert peak <= 12 * 2**20
+        half = sample[:100_000]
+        for samples, run_calls in (([sample], 0), ([half, half], 1)):
+            with pytest.MonkeyPatch.context() as patch:
+                numberings, runs = spy_on(patch, "_window_ids"), spy_on(patch, "_run_match")
+                tracemalloc.start()
+                try:
+                    match_matrix(samples, probes)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert len(numberings) == 1 and len(runs) == run_calls
+            assert peak <= 12 * 2**20
 
     def test_chunks_split_probes_and_offsets(self, monkeypatch):
         # at L = 4 with 3 samples a 1,276-byte cap gives blocks of 9 probes by
@@ -480,37 +491,34 @@ class TestMatchMatrix:
 
     @pytest.mark.parametrize("short", [None, "probes", "windows"])
     @settings(deadline=None, max_examples=2)
-    @given(st.integers(10, 20), st.integers(0, 30), st.integers(0, 2**32))
+    @given(st.integers(16, 24), st.integers(0, 30), st.integers(0, 2**32))
     def test_both_sides_of_the_rule(self, short, length, extra, seed):
         # the fewest probes whose work per window row, 4L each, reaches the
-        # rule, and the fewest windows a sample, 3L, that it asks for; one
-        # fewer of either keeps the offset scan
+        # gate, and the fewest windows of a random sample whose copy, with
+        # the sample two slices, saves _RUN_SAVED a slice; one fewer of
+        # either keeps the offset scan, and one fewer probe plans nothing
         least = -(-sequences._RUN_WORK // (4 * length))
         rng = stream(seed, "rule")
-        family = reference_family(4 * length - 1 + (-1 if short == "windows" else extra), rng)
+        windows = 2 * sequences._RUN_SAVED + (-1 if short == "windows" else extra)
+        sample = rng.integers(0, 4, size=windows + length - 1)
+        samples = ProbeSet(np.stack([sample, sample]))
         probes = random_probes(least - (short == "probes"), length, rng)
-        calls = []
-        window_ids = sequences._window_ids
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sequences, "_window_ids", lambda *a: calls.append(a) or window_ids(*a))
-            got = match_matrix(family, probes)
-        assert len(calls) == (short is None)
-        for i, sample in enumerate(family.seqs):
+            numberings, runs = spy_on(patch, "_window_ids"), spy_on(patch, "_run_match")
+            got = match_matrix(samples, probes)
+        assert len(numberings) == (short != "probes")
+        assert len(runs) == (short is None)
+        for i, sample in enumerate(samples):
             for k, probe in enumerate(probes):
                 assert got[i, k] == oracle_match(sample, probe)
 
     @pytest.mark.parametrize(
         "width, count, length",
-        [(40, m, 8) for m in (4, 8, 16, 32)]
-        + [(w, 20, 10) for w in (500, 1000, 1500, 2000)]
-        + [(500, 1667, 6), (2000, 1000, 10)],
+        [(40, m, 8) for m in (4, 8, 16, 32)] + [(w, 20, 10) for w in (500, 1000, 1500, 2000)],
     )
     def test_small_cells_never_number_windows(self, width, count, length, monkeypatch):
-        # the many-cells and long-records geometries stay on the offset scan,
-        # and so do cells past the work and window terms with more than 8 << L
-        # windows in all, whose chance repeats would cut the slices short
-        calls = []
-        monkeypatch.setattr(sequences, "_window_ids", lambda *a: calls.append(a))
+        # the many-cells and long-records geometries stay below the work gate
+        calls = spy_on(monkeypatch, "_window_ids")
         rng = stream(33, "small")
         family, probes = reference_family(width, rng), random_probes(count, length, rng)
         got = match_matrix(family, probes)
@@ -519,10 +527,30 @@ class TestMatchMatrix:
             for k, probe in enumerate(probes[:2]):
                 assert got[i, k] == oracle_match(sample, probe)
 
+    @pytest.mark.parametrize(
+        "width, count, length, path",
+        [(50, 500, 30, "scan"), (100, 500, 30, "scan"), (150, 500, 30, "runs")]
+        + [(300, 500, 30, "runs"), (150, 500, 20, "runs")]
+        + [(200, 1000, length, "runs") for length in (10, 50)]
+        + [(500, 1667, 6, "scan"), (2000, 1667, 6, "scan"), (2000, 1000, 10, "runs")],
+    )
+    def test_cells_past_the_gate_take_their_measured_path(
+        self, width, count, length, path, monkeypatch
+    ):
+        # figure 1's W = 50 and 100 save too few windows a slice, chance
+        # repeats at L = 6 cut the slices short, and the figure cells past
+        # W = 150 and long samples at L = 10 save enough
+        numberings, runs = spy_on(monkeypatch, "_window_ids"), spy_on(monkeypatch, "_run_match")
+        rng = stream(33, "small")
+        family, probes = reference_family(width, rng), random_probes(count, length, rng)
+        got = match_matrix(family, probes)
+        assert len(numberings) == 1 and len(runs) == (path == "runs")
+        for i, sample in enumerate(family.seqs):
+            for k, probe in enumerate(probes[:2]):
+                assert got[i, k] == oracle_match(sample, probe)
+
     def test_probe_scan_cells_number_windows_once(self, monkeypatch):
-        calls = []
-        window_ids = sequences._window_ids
-        monkeypatch.setattr(sequences, "_window_ids", lambda *a: calls.append(a) or window_ids(*a))
+        calls = spy_on(monkeypatch, "_window_ids")
         rng = stream(34, "scan")
         family, probes = reference_family(200, rng), random_probes(1000, 10, rng)
         got = match_matrix(family, probes)

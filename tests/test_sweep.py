@@ -255,7 +255,8 @@ class TestRunSweep:
         assert csv_rows(pooled) == csv_rows(tiny_result)
 
     def test_pool_keeps_cell_order_across_chunks(self):
-        # 14 cells span two chunks of 8, so a misordered chunk would show
+        # 14 cells in 8 strides of one or two cells, so a misplaced stride
+        # would show
         config = tiny_config(realizations=7)
         pooled = run_sweep(config, jobs=2)
         assert np.array_equal(pooled.errors, run_sweep(config).errors)
@@ -266,13 +267,17 @@ class TestRunSweep:
                 run_sweep(tiny_config(), jobs=bad)
         assert np.array_equal(run_sweep(tiny_config(), jobs=np.int64(1)).errors, tiny_result.errors)
 
-    def test_parent_holds_little_more_than_the_result(self, monkeypatch):
-        # a stand-in cell, so only the parent's own bookkeeping is measured
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_parent_holds_little_more_than_the_result(self, monkeypatch, jobs):
+        # a stand-in cell, so only the parent's own bookkeeping is measured;
+        # forked workers inherit it
         report = SimpleNamespace(error=np.zeros((8, 8)))
         monkeypatch.setattr(sweep, "run_realization", lambda *cell: report)
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=fork))
         tracemalloc.start()
         try:
-            result = run_sweep(tiny_config(realizations=10_000))
+            result = run_sweep(tiny_config(realizations=10_000), jobs=jobs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -333,8 +338,8 @@ class TestRunSweep:
             pytest.skip("numpy did not load OpenBLAS")
         get_threads, set_threads = threads
         # forked workers inherit the stand-in realization and the parent's 2
-        # threads; each cell waits for a cell of the other worker, so the two
-        # chunks of 8 cells run in two workers
+        # threads; each cell waits for a cell of the other worker, so the 8
+        # strides of 2 cells run in two workers
         fork = multiprocessing.get_context("fork")
         pool = partial(ProcessPoolExecutor, mp_context=fork)
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", pool)
