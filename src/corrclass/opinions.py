@@ -135,8 +135,10 @@ def row_correlation(matrix) -> CorrelationMatrix:
     The result is exactly symmetric, has unit diagonal for non-degenerate
     rows, and is clipped to [-1, 1] to absorb rounding.  A constant row is
     degenerate even if its rounded mean leaves it a nonzero centered norm.
+    The input is read in C order, so its memory layout never changes the
+    summation order, and so the bits, of the product.
     """
-    data = np.asarray(matrix, dtype=float)
+    data = np.ascontiguousarray(matrix, dtype=float)
     if data.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={data.ndim}")
     if data.shape[1] < 2:

@@ -56,6 +56,14 @@ _RUN_WORK = 40_000
 # W = 1000-2000 at L = 10-16 (108-502) 0.56-0.73x; below it stay figure 1's W = 50
 # and 100 (2.2, 11.6), chance repeats at L = 6 (1.9-4.1; 1.9-4.1x), unrepeated samples.
 _RUN_SAVED = 16
+# at most this many probes, and at least this many windows a sample for each probe
+# base, and match_matrix adds up shifted comparisons (_shift_match), checked before
+# the work gate.  One BLAS thread, seeds 0-2: at the boundary (M = 2-32, L = 3-100)
+# it took 0.08-0.76x the offset scan, W = 500-2000 at M = 20, L = 10 0.20-0.31x; it
+# loses on short samples (figure 1's W = 50 and 100: 2.9-5.0x, W = 40: 0.91-1.47x)
+# and many probes (figure 2's M = 100 and 250: 1.6-2.0x, figure 3's L = 5: 1.4x).
+_SHIFT_PROBES = 32
+_SHIFT_SPAN = 32
 
 
 def _batch(seqs) -> tuple[tuple[str, ...], np.ndarray]:
@@ -271,10 +279,14 @@ def match_matrix(samples, probes) -> np.ndarray:
     ``_RUN_WORK``, the samples' windows are numbered (``_run_plan``), and when
     the windows that repeat number at least ``_RUN_SAVED`` for each slice of
     consecutive rows, a repeated window is not scored again (``_run_match``).
+    A few probes against long samples skip the product: their counts are
+    added up from shifted comparisons of the codes (``_shift_match``).
     """
     samples, probe_codes = _probe_set(samples), _probe_set(probes).codes
     n_samples, n_probes, length = len(samples), *probe_codes.shape
     n_offsets = _window_count(samples.length, length)
+    if n_probes <= _SHIFT_PROBES and n_offsets >= _SHIFT_SPAN * length:
+        return _shift_match(samples.codes, probe_codes)
     width = 4 * length
     if width * n_probes >= _RUN_WORK:
         own, lows, highs, owners = _run_plan(*samples._window_ids(length), n_offsets)
@@ -299,6 +311,48 @@ def match_matrix(samples, probes) -> np.ndarray:
                 (windows.reshape(-1, width) @ targets.T).reshape(n_samples, -1, len(targets)).max(1),
                 out=block,
             )
+    return best.astype(np.int64)
+
+
+def _shift_match(sample_codes: np.ndarray, probe_codes: np.ndarray) -> np.ndarray:
+    """``match_matrix`` by L compare-adds a window for each probe, no product.
+
+    The sample rows are joined into one sequence, and each probe's count at
+    every window of it is the sum over positions l of the joined codes at
+    shift l equal to the complement of the probe's base l.  Counts fit
+    ``np.min_scalar_type(L)``; the windows that straddle two samples are
+    dropped before each sample's max over its offsets.
+    """
+    (n_samples, width), (n_probes, length) = sample_codes.shape, probe_codes.shape
+    n_offsets = width - length + 1
+    dtype = np.min_scalar_type(length)
+    # the bytes of one offset's counts across the samples
+    row = n_samples * dtype.itemsize
+    budget = _CHUNK_BYTES // 4
+    probe_step = min(n_probes, max(1, budget // (row * width)))
+    offset_step = max(1, budget // (row * probe_step) - length + 1)
+    complements = 3 - probe_codes
+    best = np.zeros((n_samples, n_probes), dtype=dtype)
+    # one counts and one hits buffer serve every block, so no two blocks' buffers coexist
+    size = probe_step * n_samples * min(width, offset_step + length - 1)
+    counts_buffer, hit_buffer = np.empty(size, dtype=dtype), np.empty(size, dtype=bool)
+    for offset in range(0, n_offsets, offset_step):
+        codes = sample_codes[:, offset : offset + offset_step + length - 1]
+        joined, span = codes.reshape(-1), codes.shape[1]
+        n_windows = len(joined) - length + 1
+        for start in range(0, n_probes, probe_step):
+            bases = complements[start : start + probe_step]
+            counts = counts_buffer[: len(bases) * len(joined)].reshape(len(bases), -1)
+            counts.fill(0)
+            hit = hit_buffer[: len(bases) * n_windows].reshape(len(bases), -1)
+            # a bool is one byte, so the add reads the hits as 0/1 counts
+            summed, hits = counts[:, :n_windows], hit.view(np.uint8)
+            for position in range(length):
+                np.equal(joined[position : position + n_windows], bases[:, position, None], out=hit)
+                np.add(summed, hits, out=summed)
+            scores = counts.reshape(len(bases), n_samples, span)[..., : span - length + 1].max(2)
+            block = best[:, start : start + probe_step]
+            np.maximum(block, scores.T, out=block)
     return best.astype(np.int64)
 
 

@@ -4,12 +4,17 @@
 passes each call's arguments to a record function.  A renamed attribute, or
 an argument a record function cannot index, would otherwise show only when
 the benchmark runs.  The test imports ``perfbench/`` and changes nothing in
-it.
+it.  Long-records' golden digests pin the bytes of the one stock output whose
+cells add up shifted comparisons (few probes against long samples), a path
+the pinned figures never take.
 """
 
+import hashlib
 import importlib
+import json
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -50,3 +55,13 @@ def test_every_package_name_perfbench_uses_is_exported():
     }
     assert used, "no corrclass.<name> found in perfbench"
     assert sorted(used - set(corrclass.__all__) - submodules) == []
+
+
+def test_long_records_bytes_match_the_golden_digests(tmp_path, capsys):
+    golden = json.loads((PERFBENCH / "golden.json").read_text())["long-records"]
+    args = shlex.split(golden["command"])[1:]
+    out = tmp_path / "out.csv"
+    args[args.index("--out") + 1] = str(out)
+    assert cli.main(args) == 0
+    for path, kind in ((out, "csv"), (out.with_suffix(".dat"), "dat")):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == golden["sha256"][kind], kind

@@ -36,9 +36,10 @@ def pearson_oracle(x, y):
 
 
 def out_of_place_correlation(matrix):
-    """``row_correlation``'s formula written out of place, still averaged with
-    its transpose to force symmetry: its exact oracle."""
-    data = np.asarray(matrix, dtype=float)
+    """``row_correlation``'s formula written out of place, on a C-ordered
+    copy, still averaged with its transpose to force symmetry: its exact
+    oracle."""
+    data = np.ascontiguousarray(matrix, dtype=float)
     centered = data - data.mean(axis=1, keepdims=True)
     norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
     degenerate = (data.max(axis=1) == data.min(axis=1)) | (norms == 0.0)
@@ -261,10 +262,13 @@ class TestRowCorrelation:
         data = rng.integers(-9, 10, size=shape) if integer else rng.normal(size=shape)
         data[1] = 3
         data[shape[0] // 2] = data[shape[0] // 2, 0]
-        result = row_correlation(data)
         values, degenerate = out_of_place_correlation(data)
-        assert np.array_equal(result.values, values)
-        assert result.degenerate_rows == degenerate
+        # C-ordered, Fortran-ordered and a transposed view: the layout of the
+        # input changes no bit of the result
+        for given in (data, np.asfortranarray(data), np.ascontiguousarray(data.T).T):
+            result = row_correlation(given)
+            assert np.array_equal(result.values, values)
+            assert result.degenerate_rows == degenerate
         assert {1, shape[0] // 2} <= set(degenerate)
 
     @settings(deadline=None)

@@ -64,6 +64,14 @@ def run_match_products(samples, probes):
     return got, sum(products)
 
 
+def offset_scan(samples, probes):
+    """``match_matrix`` by the offset scan, whatever the rule would pick."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sequences, "_SHIFT_PROBES", 0)
+        patch.setattr(sequences, "_RUN_WORK", np.inf)
+        return match_matrix(samples, probes)
+
+
 def spy_on(monkeypatch, name):
     """Calls of the ``sequences`` function ``name``, which still runs."""
     calls, function = [], getattr(sequences, name)
@@ -399,12 +407,14 @@ class TestMatchMatrix:
             match_matrix(family, probes), match_matrix(list(family.seqs), rebuilt)
         )
 
-    def test_scratch_memory_is_bounded(self):
+    def test_scratch_memory_is_bounded(self, monkeypatch):
         # 44.5 MiB is the traced peak of the boolean-broadcast kernel this
         # one replaced, on the same input
         rng = stream(31, "long")
         sample = random_sequence(200_000, rng)
         probes = [random_sequence(50, rng) for _ in range(4)]
+        # four probes on a long sample would add up shifted comparisons
+        monkeypatch.setattr(sequences, "_SHIFT_PROBES", 0)
         tracemalloc.start()
         try:
             match_matrix([sample], probes)
@@ -412,6 +422,22 @@ class TestMatchMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= 44.5 * 2**20
+
+    def test_shift_path_memory_is_bounded(self, monkeypatch):
+        # one probe's uint8 counts and hits over the 199,991 windows at a
+        # time, 0.39 MiB traced; the offset scan traces 1.1 MiB on this input
+        rng = stream(31, "long")
+        samples = ProbeSet([random_sequence(200_000, rng)])
+        probes = random_probes(4, 10, rng)
+        shifts = spy_on(monkeypatch, "_shift_match")
+        tracemalloc.start()
+        try:
+            got = match_matrix(samples, probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(shifts) == 1 and peak <= 0.5 * 2**20
+        assert np.array_equal(got, offset_scan(samples, probes))
 
     def test_run_path_memory_is_bounded(self):
         # 200 probes of L = 50 pass the work gate, so 200,000 windows are
@@ -514,15 +540,22 @@ class TestMatchMatrix:
 
     @pytest.mark.parametrize(
         "width, count, length",
-        [(40, m, 8) for m in (4, 8, 16, 32)] + [(w, 20, 10) for w in (500, 1000, 1500, 2000)],
+        [(40, m, 8) for m in (4, 8, 16, 32)]
+        + [(w, 20, 10) for w in (500, 1000, 1500, 2000)]
+        + [(150, 100, 20), (150, 250, 20), (200, 1000, 5)],
     )
     def test_small_cells_never_number_windows(self, width, count, length, monkeypatch):
-        # the many-cells and long-records geometries stay below the work gate
-        calls = spy_on(monkeypatch, "_window_ids")
+        # the many-cells and long-records geometries, figure 2's M = 100 and
+        # 250 and figure 3's L = 5 stay below the work gate; long-records'
+        # 20 probes against W = 500-2000 add up shifted comparisons
+        calls, shifts = spy_on(monkeypatch, "_window_ids"), spy_on(monkeypatch, "_shift_match")
         rng = stream(33, "small")
         family, probes = reference_family(width, rng), random_probes(count, length, rng)
         got = match_matrix(family, probes)
         assert calls == []
+        assert len(shifts) == (width >= 500)
+        # a C-ordered int64 array on every path, not a transposed view
+        assert got.dtype == np.int64 and got.flags.c_contiguous
         for i, sample in enumerate(family.seqs):
             for k, probe in enumerate(probes[:2]):
                 assert got[i, k] == oracle_match(sample, probe)
@@ -532,22 +565,111 @@ class TestMatchMatrix:
         [(50, 500, 30, "scan"), (100, 500, 30, "scan"), (150, 500, 30, "runs")]
         + [(300, 500, 30, "runs"), (150, 500, 20, "runs")]
         + [(200, 1000, length, "runs") for length in (10, 50)]
-        + [(500, 1667, 6, "scan"), (2000, 1667, 6, "scan"), (2000, 1000, 10, "runs")],
+        + [(500, 1667, 6, "scan"), (2000, 1667, 6, "scan"), (2000, 1000, 10, "runs")]
+        + [(200, 500, 30, "runs"), (250, 500, 30, "runs")]
+        + [(150, 750, 20, "runs"), (150, 1000, 20, "runs")]
+        + [(200, 1000, length, "runs") for length in (15, 20, 25, 30, 35, 40, 45)],
     )
     def test_cells_past_the_gate_take_their_measured_path(
         self, width, count, length, path, monkeypatch
     ):
         # figure 1's W = 50 and 100 save too few windows a slice, chance
         # repeats at L = 6 cut the slices short, and the figure cells past
-        # W = 150 and long samples at L = 10 save enough
+        # W = 150 and long samples at L = 10 save enough; with hundreds of
+        # probes, none adds up shifted comparisons
         numberings, runs = spy_on(monkeypatch, "_window_ids"), spy_on(monkeypatch, "_run_match")
+        shifts = spy_on(monkeypatch, "_shift_match")
         rng = stream(33, "small")
         family, probes = reference_family(width, rng), random_probes(count, length, rng)
         got = match_matrix(family, probes)
-        assert len(numberings) == 1 and len(runs) == (path == "runs")
+        assert len(numberings) == 1 and len(runs) == (path == "runs") and shifts == []
+        assert got.dtype == np.int64 and got.flags.c_contiguous
         for i, sample in enumerate(family.seqs):
             for k, probe in enumerate(probes[:2]):
                 assert got[i, k] == oracle_match(sample, probe)
+
+    @pytest.mark.parametrize("side", ["shift", "probes", "windows"])
+    @settings(deadline=None, max_examples=10)
+    @given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32))
+    def test_both_sides_of_the_shift_rule(self, side, length, count, seed):
+        # _SHIFT_PROBES probes against _SHIFT_SPAN windows a sample for each
+        # probe base add up shifted comparisons; one probe more, or one window
+        # fewer, keeps the current path.  Either way the shift kernel equals
+        # the offset scan and the oracle
+        rng = stream(seed, "shift")
+        n_probes = sequences._SHIFT_PROBES + (side == "probes")
+        n_offsets = sequences._SHIFT_SPAN * length - (side == "windows")
+        samples = ProbeSet(rng.integers(0, 4, size=(count, n_offsets + length - 1)))
+        probes = random_probes(n_probes, length, rng)
+        with pytest.MonkeyPatch.context() as patch:
+            shifts = spy_on(patch, "_shift_match")
+            got = match_matrix(samples, probes)
+        assert len(shifts) == (side == "shift")
+        assert np.array_equal(got, offset_scan(samples, probes))
+        assert np.array_equal(sequences._shift_match(samples.codes, probes.codes), got)
+        for i, sample in enumerate(samples):
+            for k, probe in enumerate(probes):
+                assert got[i, k] == oracle_match(sample, probe)
+
+    @pytest.mark.parametrize("chunk_bytes, blocks, chunks", [(4800, 3, 1), (800, 8, 3)])
+    def test_shift_blocks_split_probes_and_offsets(self, chunk_bytes, blocks, chunks, monkeypatch):
+        # 2 samples of W = 200 take 2 bytes of uint8 counts an offset: a
+        # 1,200-byte budget holds 3 probes' whole rows, and a 200-byte one a
+        # probe's rows over offset chunks of 97, 3 chunks of the 197 offsets
+        monkeypatch.setattr(sequences, "_CHUNK_BYTES", chunk_bytes)
+        buffers, compares = [], []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, *args, **kwargs):
+                buffers.append(np.empty(*args, **kwargs))
+                return buffers[-1]
+
+            def equal(self, *args, out):
+                compares.append(out.shape)
+                return np.equal(*args, out=out)
+
+        monkeypatch.setattr(sequences, "np", CountingNumpy())
+        rng = stream(37, "shift-blocks")
+        samples = ProbeSet(rng.integers(0, 4, size=(2, 200)))
+        probes = random_probes(8, 4, rng)
+        got = sequences._shift_match(samples.codes, probes.codes)
+        # the counts and hits buffers, each within a quarter of _CHUNK_BYTES
+        assert len(compares) == 4 * blocks * chunks
+        assert len(buffers) == 2 and max(b.nbytes for b in buffers) <= chunk_bytes // 4
+        for i, sample in enumerate(samples):
+            for k, probe in enumerate(probes):
+                assert got[i, k] == oracle_match(sample, probe)
+
+    def test_shift_counts_past_255(self):
+        # at L = 300 the counts are uint16: a planted complement scores 300,
+        # and a copy of it with every tenth base changed 270
+        rng = stream(38, "wide")
+        length = 300
+
+        def planted(width):
+            samples = ProbeSet(rng.integers(0, 4, size=(2, width)))
+            complement = 3 - samples.codes[1, 50 : 50 + length]
+            near = complement.copy()
+            near[::10] = (near[::10] + 1) % 4
+            return samples, ProbeSet(np.stack([complement, near, rng.integers(0, 4, size=length)]))
+
+        # the kernel itself on a short sample, against the oracle
+        samples, probes = planted(420)
+        got = sequences._shift_match(samples.codes, probes.codes)
+        assert got[1, 0] == 300 and got[1, 1] == 270
+        for i, sample in enumerate(samples):
+            for k, probe in enumerate(probes):
+                assert got[i, k] == oracle_match(sample, probe)
+        # and through the rule, on 32 windows a sample for each probe base
+        samples, probes = planted(sequences._SHIFT_SPAN * length + length - 1)
+        with pytest.MonkeyPatch.context() as patch:
+            shifts = spy_on(patch, "_shift_match")
+            got = match_matrix(samples, probes)
+        assert len(shifts) == 1 and got[1, 0] == 300 and got[1, 1] == 270
+        assert np.array_equal(got, offset_scan(samples, probes))
 
     def test_probe_scan_cells_number_windows_once(self, monkeypatch):
         calls = spy_on(monkeypatch, "_window_ids")
