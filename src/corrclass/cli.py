@@ -210,8 +210,12 @@ def _cmd_opinions(args) -> int:
     )
     population = generate_population(config)
     opinions = opinion_matrix(population, config.normalization)
-    # the correlation table is freed before the error needs its own
-    predicted = predict_matrix(row_correlation(opinions), opinions, choose_k(config))
+    # opinions are normalization * T @ F.T, so (k/M) C @ S equals
+    # ((k/M) C @ T) @ (normalization * F.T): M*M*L + M*N*L multiply-adds
+    # instead of M*M*N, fewer whenever L < M*N / (M + N).  The correlation
+    # table is freed before the prediction table exists
+    weighted = predict_matrix(row_correlation(opinions), population.tastes, choose_k(config))
+    predicted = weighted @ (config.normalization * population.features.T)
     empirical = empirical_error(opinions, predicted)
     theoretical = theoretical_error(
         config.n_components, config.n_individuals, config.n_products, gamma_factor(config)

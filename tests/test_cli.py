@@ -10,6 +10,17 @@ import pytest
 from corrclass import cli, sweep
 from corrclass.cli import main
 from corrclass.fasta import read_fasta
+from corrclass.opinions import (
+    ModelConfig,
+    choose_k,
+    empirical_error,
+    gamma_factor,
+    generate_population,
+    opinion_matrix,
+    predict_matrix,
+    row_correlation,
+    theoretical_error,
+)
 from corrclass.sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -399,6 +410,36 @@ class TestOpinionsCommand:
         assert main(["opinions", "--m", "300", "--n", "200", "--l", "4", "--seed", "5"]) == 0
         assert capsys.readouterr().out == (
             "empirical_error 0.0458061\ntheoretical_error 0.0856305\nratio 0.534927\n"
+        )
+
+    @pytest.mark.parametrize(
+        "m, n, l, seed",
+        [(6, 5, 2, 1), (50, 40, 3, 11), (300, 200, 4, 5), (20, 10, 25, 7)],
+    )
+    def test_factored_prediction_matches_direct_product(self, monkeypatch, capsys, m, n, l, seed):
+        # the command predicts from the tastes and features; the library's
+        # C @ S over the whole table is the reference, L > M, N included
+        captured = []
+
+        def spy(observed, predicted):
+            captured.append(predicted)
+            return empirical_error(observed, predicted)
+
+        monkeypatch.setattr(cli, "empirical_error", spy)
+        argv = ["opinions", "--m", str(m), "--n", str(n), "--l", str(l), "--seed", str(seed)]
+        assert main(argv) == 0
+        config = ModelConfig(n_individuals=m, n_products=n, n_components=l, base_seed=seed)
+        opinions = opinion_matrix(generate_population(config), config.normalization)
+        direct = predict_matrix(row_correlation(opinions), opinions, choose_k(config))
+        [predicted] = captured
+        assert predicted.shape == direct.shape
+        assert np.max(np.abs(predicted - direct)) <= 1e-12 * np.max(np.abs(direct))
+        empirical = empirical_error(opinions, direct)
+        theoretical = theoretical_error(l, m, n, gamma_factor(config))
+        values = [empirical, theoretical, empirical / theoretical]
+        names = ["empirical_error", "theoretical_error", "ratio"]
+        assert capsys.readouterr().out == "".join(
+            f"{name} {cli._format_float(value)}\n" for name, value in zip(names, values)
         )
 
     def test_memory_error_exits_1(self, monkeypatch, capsys):

@@ -408,8 +408,7 @@ class TestMatchMatrix:
         )
 
     def test_scratch_memory_is_bounded(self, monkeypatch):
-        # 44.5 MiB is the traced peak of the boolean-broadcast kernel this
-        # one replaced, on the same input
+        # the offset scan traces 1.21 MiB on this input
         rng = stream(31, "long")
         sample = random_sequence(200_000, rng)
         probes = [random_sequence(50, rng) for _ in range(4)]
@@ -421,7 +420,7 @@ class TestMatchMatrix:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 44.5 * 2**20
+        assert peak <= 2 * 2**20
 
     def test_shift_path_memory_is_bounded(self, monkeypatch):
         # one probe's uint8 counts and hits over the 199,991 windows at a
