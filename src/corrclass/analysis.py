@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .opinions import CorrelationMatrix, row_correlation
-from .sequences import ProbeSet, match_matrix, overlap_matrix
+from .sequences import _probe_set, match_matrix, overlap_matrix
 
 __all__ = [
     "SimilarityReport",
@@ -58,8 +58,7 @@ def similarity_report(samples, probes) -> SimilarityReport:
     set once, so the kernel and the overlap read one numbering of the
     samples' windows.
     """
-    samples = samples if isinstance(samples, ProbeSet) else ProbeSet(samples)
-    probes = probes if isinstance(probes, ProbeSet) else ProbeSet(probes)
+    samples, probes = _probe_set(samples), _probe_set(probes)
     correlation = sample_correlation(match_matrix(samples, probes))
     omega = overlap_matrix(samples, probes.length)
     return SimilarityReport(

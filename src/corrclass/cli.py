@@ -42,7 +42,7 @@ from .sweep import (
 __all__ = ["main", "run", "read_config"]
 
 _CONFIG_KEYS = ("realizations", "grid", "m", "l", "w", "pairs")
-_FIXED_KEYS = ("w", "m", "l")
+_FIXED_KEYS = tuple(var.lower() for var in _FIXED_FIELD)
 _JOBS_HELP = "worker processes, at most the CPU count (default 1)"
 
 
@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=_u64, default=42, help="base seed (default 42)")
 
     figure = commands.add_parser("figure", parents=[common], help="run a stock experiment")
-    figure.add_argument("which", type=int, choices=(1, 2, 3))
+    figure.add_argument("which", type=int, choices=sorted(FIGURE_PRESETS))
     figure.add_argument("--out", help="CSV path (default figureN.csv); .dat written alongside")
     figure.add_argument("--config", help="key = value override file")
     figure.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)

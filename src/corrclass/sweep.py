@@ -230,34 +230,29 @@ def _openblas_threads():
     return None
 
 
-def _pair_errors(pairs: tuple[tuple[int, int], ...], cell: tuple[int, ...]) -> tuple[float, ...]:
-    """The tracked pairs' errors of one (W, M, L, seed) cell; module-level for pickling.
+def _stride_errors(config: SweepConfig, first: int, step: int, out=None) -> np.ndarray:
+    """Errors of cells ``first``, ``first + step``, ... in (grid point,
+    realization) order, into ``out`` or a new array; module-level for pickling.
 
-    The cell runs on one OpenBLAS thread, in a pool worker or in process: its
-    small products run faster on one, and ``jobs`` workers do not each start
-    a BLAS thread per CPU.  The count it found is restored after; without
-    OpenBLAS, getting and setting it do nothing.
+    The stride runs on one OpenBLAS thread, in a pool worker or in process:
+    its small products run faster on one, and ``jobs`` workers do not each
+    start a BLAS thread per CPU.  The count it found is restored after;
+    without OpenBLAS, getting and setting it do nothing.
     """
+    indices = range(first, len(config.grid) * config.realizations, step)
+    out = np.empty((len(indices), len(config.pairs))) if out is None else out
+    rows, columns = zip(*config.pairs)
     get_threads, set_threads = _openblas_threads() or (lambda: 0, lambda count: None)
     before = get_threads()
     set_threads(1)
     try:
-        report = run_realization(*cell)
+        for row, index in zip(out, indices):
+            grid_index, realization = divmod(index, config.realizations)
+            value = config.grid[grid_index]
+            seed = derive_seed(config.base_seed, value, realization)
+            row[:] = run_realization(*config.params_at(value), seed).error[rows, columns]
     finally:
         set_threads(before)
-    return tuple(float(report.error[i, j]) for i, j in pairs)
-
-
-def _stride_errors(config: SweepConfig, first: int, step: int, out=None) -> np.ndarray:
-    """Errors of cells ``first``, ``first + step``, ... in (grid point,
-    realization) order, into ``out`` or a new array; module-level for pickling."""
-    indices = range(first, len(config.grid) * config.realizations, step)
-    out = np.empty((len(indices), len(config.pairs))) if out is None else out
-    for row, index in zip(out, indices):
-        grid_index, realization = divmod(index, config.realizations)
-        value = config.grid[grid_index]
-        seed = derive_seed(config.base_seed, value, realization)
-        row[:] = _pair_errors(config.pairs, (*config.params_at(value), seed))
     return out
 
 

@@ -456,6 +456,10 @@ class TestOpinionsCommand:
         # with the correlation table alive through the error, four 600 x 600
         # float64 tables were live at once: a traced peak of 4.08 tables
         table = 600 * 600 * 8
+        # numpy loads numpy.random at its first use, and that import's
+        # allocations are not the command's; run alone, this test would trace them
+        import numpy.random
+
         tracemalloc.start()
         try:
             assert main(["opinions", "--m", "600", "--n", "600", "--l", "4"]) == 0
@@ -484,3 +488,22 @@ class TestGenRefsCommand:
 
     def test_too_short_exits_1(self):
         assert main(["gen-refs", "--w", "5"]) == 1
+
+
+@pytest.mark.parametrize(
+    "command", [["gen-refs", "--out", "refs.fa"], ["matrices", "--l", "8", "--m", "20"]]
+)
+def test_huge_sample_length_exits_1_and_writes_nothing(command, tmp_path, monkeypatch, capsys):
+    w, asked = 10**13, []
+
+    def refuse(shape, *args, **kwargs):
+        asked.append(shape)
+        raise MemoryError("Unable to allocate 72.8 TiB")
+
+    monkeypatch.chdir(tmp_path)
+    # no real allocation: the family's codes fail as an impossible size would
+    monkeypatch.setattr(np, "empty", refuse)
+    assert main([*command, "--w", str(w)]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 72.8 TiB\n"
+    assert asked == [(8, w)]
+    assert list(tmp_path.iterdir()) == []
